@@ -34,7 +34,7 @@ def entry() -> Any:
 
     sf_dir = "/root/testdata/sf0.001"
     fixtures.ensure_fixtures(sf_dir)
-    res = run_kg(fixtures.files_dir(sf_dir), materialize_docs=True)
+    res = run_kg(fixtures.files_dir(sf_dir))
     return res["canonical"].to_pandas()
 
 

@@ -88,9 +88,7 @@ def run_bench() -> dict:
         shutil.rmtree(out_dir, ignore_errors=True)
         s0 = _cpu_stat()
         t0 = time.time()
-        # symbol_source="mentions": one corpus read — symbols derive from
-        # the detected (materialized) docs instead of a second DEF-scan pass
-        res = run_kg(corpus, symbol_source="mentions")
+        res = run_kg(corpus)
         res["canonical"].write_parquet(out_dir)
         headline_runs.append(round(time.time() - t0, 3))
         run_cpu.append(_stat_delta_pct(s0, _cpu_stat()))

@@ -81,7 +81,7 @@ def cmd_stats(args) -> int:
     from recon_ray.functions import stats as st
     from recon_ray.pipelines.kg import run_kg
 
-    res = run_kg(args.files_dir, materialize_docs=True)
+    res = run_kg(args.files_dir)
     s = st.ner_stats(res["docs"])
     print("== ner stats ==")
     print(json.dumps(s, indent=1))

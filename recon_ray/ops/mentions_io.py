@@ -63,31 +63,6 @@ def mentions_parts(batch: pa.Table, col: str = "mentions"):
     return lengths.astype(np.int64), text, start, end, label, source
 
 
-def replace_mentions(
-    batch: pa.Table,
-    lengths: np.ndarray,
-    text: np.ndarray,
-    start: np.ndarray,
-    end: np.ndarray,
-    label: np.ndarray,
-    source: np.ndarray,
-    col: str = "mentions",
-) -> pa.Table:
-    new = mentions_list_array(lengths, text, start, end, label, source)
-    idx = batch.column_names.index(col)
-    return batch.set_column(idx, col, new)
-
-
 def doc_index(lengths: np.ndarray) -> np.ndarray:
     """Per-flat-mention doc index (0..n_docs-1)."""
     return np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-
-
-def keep_flat(
-    keep: np.ndarray, lengths: np.ndarray, *arrays: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Apply a boolean keep-mask over flat mention arrays; recompute
-    per-doc lengths via bincount (robust to empty docs)."""
-    didx = doc_index(lengths)
-    new_lengths = np.bincount(didx[keep], minlength=len(lengths)).astype(np.int64)
-    return new_lengths, [a[keep] for a in arrays]

@@ -1,28 +1,32 @@
-"""The flagship KG-construction pipeline (SURVEY §7.1):
+"""The flagship KG-construction pipeline (SURVEY §7.1), one sequence:
 
     read_parquet(files)
-      → add content_sha256 / doc_id                [stateless map_batches]
-      → mention detection                          [elastic tasks; per-process
-          (import/def/call/ident raw spans)         compiled-pattern cache —
-                                                    actor-pool form available
-                                                    for model-heavy detectors]
+      → mention detection (+ content_sha256)       [elastic tasks; per-process
+          (import/def/call/ident raw spans)         compiled-pattern cache]
       → correction chain (upcase → rename → strip
         → filter_overlaps → fix_annotations)       [vectorized Arrow kernels]
       → drop content (sha256 travels on)           [block slimming]
-      → triple linking against the broadcast       [elastic tasks reading the
-          symbol dictionary (DEF-only pre-scan,     ray.put dict zero-copy,
-          ray.put once)                             once per worker process]
+      → pin the docs block by block; each block    [streamed off the
+          feeds a DEF task, merged remotely into     executor as blocks land]
+          the broadcast symbol dictionary
+      → triple linking against that dictionary     [elastic tasks; the dict
+          (or a caller-given one)                    is fetched once per
+                                                    worker process]
       → canonicalize (combiner → small-partials
           barrier → bucketed hash merge)           [shuffle]
-      → sort(subj, pred, obj)                      [range shuffle]
+      → sort(subj, pred, obj)                      [range-partitioned reduce]
     plus the exploded mentions table for stats/insights.
 
-Everything stays a lazy streaming ``ray.data.Dataset`` until the caller
-consumes (write_parquet / iter_batches / aggregate); nothing materializes
-the full corpus. The correction chain is load-bearing: raw labels are
-lowercase, CALL spans carry trailing whitespace, keyword false-positives
-must be deleted — skipping any step changes the emitted triples
-(P/R gate vs recon_ray/reference_extractor.py).
+``run_kg`` executes detection, the symbol build, linking and the
+canonicalize combiner before it returns: the detected docs are pinned
+(content-free, so about the size of their mentions) and the returned
+``canonical`` Dataset is backed by reduce-task refs. Only the exploded
+mentions stay lazy. Corpora whose pinned docs would not fit the object
+store go through ``state/runner.py:run_kg_checkpointed`` shard by shard.
+The correction chain is load-bearing: raw labels are lowercase, CALL
+spans carry trailing whitespace, keyword false-positives must be deleted
+— skipping any step changes the emitted triples (P/R gate vs
+recon_ray/reference_extractor.py).
 """
 
 from __future__ import annotations
@@ -33,17 +37,22 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from recon_ray import spec
 from recon_ray.ops import LineageTracker, pipe
 from recon_ray.ops.spans import CORRECTION_CHAIN
 from recon_ray.stages.canonicalize import canonicalize
-from recon_ray.stages.detect import (MentionDetector, SymbolScanner, detect_batch, scan_symbols_batch)
+from recon_ray.stages.detect import detect_batch, scan_symbols_batch
 from recon_ray.stages.explode import explode_mentions
-from recon_ray.stages.link import (TripleLinker, build_symbol_broadcast, make_link_batch)
+from recon_ray.stages.link import make_link_batch
+from recon_ray.stages.streaming import iter_block_refs
 
 #: docs per detector batch — source files average ~1-4 KB here; at 100 TB
 #: with multi-MB files, budget by bytes (target ≲ 32 MiB of content/batch).
 DEFAULT_BATCH_SIZE = 128
+
+
+def _empty_symbols() -> pa.Table:
+    return pa.table({c: pa.array([], pa.string())
+                     for c in ("repo", "module", "name")})
 
 
 def _cluster_cpus() -> int:
@@ -51,19 +60,6 @@ def _cluster_cpus() -> int:
         return int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         return 8
-
-
-def _pool_sizes(cpus: int) -> tuple[int, int]:
-    """(detector_pool, linker_pool) actor counts. Actor pools must NOT
-    reserve every CPU or the read/shuffle tasks starve and the streaming
-    executor deadlocks — keep ≥25% of the node for stateless tasks."""
-    detector = max(1, cpus // 2)
-    linker = max(1, cpus // 4)
-    return detector, linker
-
-
-def _default_concurrency() -> int:
-    return _pool_sizes(_cluster_cpus())[0]
 
 
 def read_files(input_path: str, parallelism: Optional[int] = None):
@@ -79,22 +75,16 @@ def read_files(input_path: str, parallelism: Optional[int] = None):
 
 def scan_symbols(files_ds) -> pa.Table:
     """Pass 1: DEF-only scan → small distinct (repo, module, name) table
-    collected to the driver (orders of magnitude smaller than the corpus;
-    see link.py scale note for the partitioned variant)."""
+    collected to the driver (orders of magnitude smaller than the corpus).
+    The checkpointed runner builds its global dictionary with it."""
     symbol_ds = files_ds.map_batches(
         scan_symbols_batch,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=DEFAULT_BATCH_SIZE,
     )
-    blocks = ray.get(symbol_ds.to_arrow_refs())
-    blocks = [b for b in blocks if b.num_rows] or [
-        pa.table(
-            {"repo": pa.array([], pa.string()),
-             "module": pa.array([], pa.string()),
-             "name": pa.array([], pa.string())}
-        )
-    ]
+    blocks = ray.get(symbol_ds.materialize().to_arrow_refs())
+    blocks = [b for b in blocks if b.num_rows] or [_empty_symbols()]
     return pa.concat_tables(blocks)
 
 
@@ -111,17 +101,16 @@ def _defs_kernel(batch: pa.Table) -> pa.Table:
     import numpy as np
     import pyarrow.compute as pc
 
+    # an empty read block can reach here without any columns
+    if batch.num_rows == 0 or "mentions" not in batch.column_names:
+        return _empty_symbols()
     arr = batch.column("mentions")
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     child = arr.flatten()
     mask = pc.equal(child.field("label"), pa.scalar("DEF"))
     if not (pc.any(mask).as_py() or False):
-        return pa.table(
-            {"repo": pa.array([], pa.string()),
-             "module": pa.array([], pa.string()),
-             "name": pa.array([], pa.string())}
-        )
+        return _empty_symbols()
     lengths = arr.value_lengths().fill_null(0).to_numpy(
         zero_copy_only=False
     )
@@ -185,14 +174,8 @@ def symbols_from_docs(docs_ds) -> pa.Table:
     sym_ds = docs_ds.map_batches(
         _defs_kernel, batch_format="pyarrow", zero_copy_batch=True
     )
-    blocks = ray.get(sym_ds.to_arrow_refs())
-    blocks = [b for b in blocks if b.num_rows] or [
-        pa.table(
-            {"repo": pa.array([], pa.string()),
-             "module": pa.array([], pa.string()),
-             "name": pa.array([], pa.string())}
-        )
-    ]
+    blocks = ray.get(sym_ds.materialize().to_arrow_refs())
+    blocks = [b for b in blocks if b.num_rows] or [_empty_symbols()]
     return pa.concat_tables(blocks)
 
 
@@ -200,61 +183,36 @@ def run_kg(
     input_path: str,
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    concurrency: Optional[int] = None,
-    linker_concurrency: Optional[int] = None,
     track_lineage: bool = False,
     sort_output: bool = True,
-    materialize_docs: bool = False,
     symbols_ref=None,
-    linker_mode: str = "broadcast",
-    symbol_source: str = "scan",
+    symbol_source: str = "mentions",
 ) -> dict:
-    """Assemble the lazy pipeline; returns the component Datasets plus the
-    lineage tracker (all unconsumed — callers write/collect).
+    """Detect → correct → pin docs (+ symbol build) → link → canonicalize.
+    Returns the component Datasets, the symbol dictionary ref and the
+    lineage tracker.
 
-    ``symbols_ref``: pass a pre-broadcast symbol dictionary (ray.put ref) to
-    skip the DEF pre-scan — the checkpointed runner scans once globally,
-    then reuses the ref across shards.
+    ``symbols_ref``: pass a pre-broadcast symbol dictionary (ray.put ref)
+    to link against it instead of the dictionary derived from this call's
+    own DEF mentions — the checkpointed runner builds one global
+    dictionary and reuses the ref across shards.
 
-    ``linker_mode``: "broadcast" (default — the whole DEF dictionary ships
-    once via ray.put; right while it fits a worker heap) or "partitioned"
-    (both sides co-partition on hash(repo) with mega-repo salting — the
-    path for when the dictionary outgrows a broadcast; emits identical
-    triples, see stages/link.py:link_partitioned).
-
-    ``symbol_source``: "scan" (default — a separate DEF-only pre-pass over
-    the corpus; keeps the main pipeline fully streaming) or "mentions"
-    (derive the symbol table from the detected mentions — reads the corpus
-    ONCE, but forces ``materialize_docs`` so the detected docs can feed
-    both the symbol build and the linker; right when the per-call input is
-    bounded, e.g. bench or the checkpointed runner's shards)."""
-    det_default, link_default = _pool_sizes(_cluster_cpus())
-    concurrency = concurrency or det_default
-    linker_concurrency = linker_concurrency or link_default
+    ``symbol_source``: accepts only ``"mentions"``; kept for existing
+    callers of the benchmark and goes when the benchmark is next revised."""
+    if symbol_source != "mentions":
+        raise ValueError(
+            f"symbol_source={symbol_source!r}: only 'mentions' is supported"
+        )
     tracker = LineageTracker.remote() if track_lineage else None
 
-    # fan the read out well past the pool sizes — parallelism is otherwise
-    # capped by the input fragment count (few big fragments → idle actors).
-    # 8× (not 4×): at 96 blocks/32 cpus the extract stage ran 3 task waves
+    # fan the read out well past the CPU count — parallelism is otherwise
+    # capped by the input fragment count (few big fragments → idle
+    # workers). At 96 blocks/32 cpus the extract stage ran 3 task waves
     # with a straggler tail (14.7 s max vs 9.0 s mean task — oversized-file
-    # skew) and realized only ~24/32 of the node; halving task size evens
-    # the last wave for ~2% per-task overhead.
-    n_blocks = max(8 * (concurrency + linker_concurrency), 64)
-    files = read_files(input_path, parallelism=n_blocks)
-    if symbol_source == "mentions":
-        materialize_docs = True
-    if linker_mode == "partitioned" or symbol_source == "mentions":
-        symbols_table, symbols_dict = None, None
-    elif symbols_ref is None:
-        symbols_table = scan_symbols(files)
-        symbols_ref, symbols_dict = build_symbol_broadcast(symbols_table)
-    else:
-        symbols_table, symbols_dict = None, None
-
-    # the regex detector's only state is module-level compiled patterns, so
-    # it runs as elastic stateless TASKS (no actor-pool spawn latency); a
-    # model-loading detector would use the MentionDetector class form with
-    # concurrency=N instead (see stages/detect.py docstrings)
+    # skew); smaller tasks even the last wave for ~2% per-task overhead.
+    files = read_files(input_path, parallelism=max(6 * _cluster_cpus(), 64))
+    # the regex detector's only state is module-level compiled patterns,
+    # so it runs as elastic stateless tasks
     docs = files.map_batches(
         detect_batch,
         batch_format="pyarrow",
@@ -263,77 +221,33 @@ def run_kg(
     )
     docs = pipe(docs, CORRECTION_CHAIN, tracker=tracker, batch_size=batch_size)
     docs = docs.drop_columns(["content"])
-    overlap_symbols = (
-        symbol_source == "mentions"
-        and linker_mode != "partitioned"
-        and symbols_ref is None
+
+    # Pin the corrected docs (the linker and the exploded mentions both
+    # read them, so detection runs once) by streaming their blocks as
+    # detection finishes them. Without a given dictionary, each block
+    # gets a DEF task as it lands and the dictionary is merged in a
+    # REMOTE task: the linker gets the pending ref, and its first batch
+    # blocks only if the build is still running by link time (the DEF
+    # partials are tiny next to detection).
+    derive_symbols = symbols_ref is None
+    block_refs, def_parts = [], []
+    for ref in iter_block_refs(docs):
+        block_refs.append(ref)
+        if derive_symbols:
+            def_parts.append(_defs_block.remote(ref))
+    if derive_symbols:
+        symbols_ref = _merge_defs_to_dict.remote(*def_parts)
+    # an empty corpus yields no blocks; materialize() keeps its schema
+    docs = rd.from_arrow_refs(block_refs) if block_refs else docs.materialize()
+
+    # the broadcast dict is fetched once per worker process (zero-copy
+    # plasma read) — see stages/link.py:make_link_batch
+    triples = docs.map_batches(
+        make_link_batch(symbols_ref),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=batch_size,
     )
-    if materialize_docs and overlap_symbols:
-        # OVERLAPPED symbol build (the former serial chain — materialize
-        # docs, then gather DEF rows, then build the dict on the driver —
-        # cost ~1.3 s of idle cluster at 96k files/32 cpus): stream doc
-        # blocks as detection finishes them, submit a per-block DEF task
-        # immediately, and build the broadcast dict in a REMOTE task.
-        # The linker gets the pending ref — its first batch blocks only
-        # if the build is still running by link time (it never is: the
-        # DEF partials are tiny vs detection). preserve_order keeps the
-        # doc block order deterministic, same as materialize().
-        try:
-            docs.context.execution_options.preserve_order = True
-        except AttributeError:
-            pass
-        block_refs, def_parts = [], []
-        for bundle in docs.iter_internal_ref_bundles():
-            for ref in bundle.block_refs:
-                block_refs.append(ref)
-                def_parts.append(_defs_block.remote(ref))
-        if block_refs:
-            docs = rd.from_arrow_refs(block_refs)
-            symbols_ref = _merge_defs_to_dict.remote(*def_parts)
-        else:  # empty corpus: nothing detected, empty dict broadcast
-            docs = docs.materialize()
-            symbols_ref = ray.put({})
-        # symbols_table/_dict stay None on this path (nothing downstream
-        # of the bench/runner mentions mode reads them; callers who need
-        # the table use symbol_source="scan" or symbols_from_docs())
-    elif materialize_docs:
-        # Pin the corrected docs so the two consumers (triples + mentions)
-        # don't re-execute detection/corrections (and double-count lineage).
-        # Only sane for bounded inputs — the checkpointed runner does this
-        # per SHARD, never on the whole corpus (state/runner.py).
-        docs = docs.materialize()
-    if overlap_symbols and symbols_ref is None:
-        symbols_table = symbols_from_docs(docs)
-        symbols_ref, symbols_dict = build_symbol_broadcast(symbols_table)
-
-    if linker_mode == "partitioned":
-        # symbols stay a DATASET (never collected): DEF-only scan → distinct
-        # rows; the link is a co-partitioned shuffle (see link_partitioned)
-        from recon_ray.functions.relational import bucketed_group_apply
-        from recon_ray.stages.link import link_partitioned
-
-        sym_rows = files.map_batches(
-            scan_symbols_batch,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-        sym_ds = bucketed_group_apply(
-            sym_rows, ["repo", "module", "name"],
-            lambda g: g.drop_duplicates(["repo", "module", "name"]),
-        )
-        triples = link_partitioned(docs, sym_ds)
-    else:
-        # linker as elastic tasks: the broadcast dict is fetched once per
-        # worker process (zero-copy plasma read) — see
-        # stages/link.py:make_link_batch; the TripleLinker actor-pool form
-        # remains for model-heavy linkers
-        triples = docs.map_batches(
-            make_link_batch(symbols_ref),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
     canonical = canonicalize(triples, sort=sort_output)
     mentions = explode_mentions(docs)
 
@@ -343,8 +257,7 @@ def run_kg(
         "mentions": mentions,
         "triples": triples,
         "canonical": canonical,
-        "symbols_table": symbols_table,
-        "symbols_dict": symbols_dict,
+        "symbols_ref": symbols_ref,
         "tracker": tracker,
     }
 

@@ -1707,14 +1707,14 @@ def _kg(sf_dir: str) -> dict:
     if key in _KG_CACHE:
         return _KG_CACHE[key]
     fixtures.ensure_fixtures(sf_dir)
-    from recon_ray.pipelines.kg import run_kg
+    from recon_ray.pipelines.kg import run_kg, symbols_from_docs
 
-    res = run_kg(fixtures.files_dir(sf_dir), materialize_docs=True)
+    res = run_kg(fixtures.files_dir(sf_dir))
     out = {
         "canonical_ds": res["canonical"].materialize(),
         "mentions_ds": res["mentions"].materialize(),
         "docs": res["docs"],
-        "symbols_table": res["symbols_table"].to_pandas(),
+        "symbols_table": symbols_from_docs(res["docs"]).to_pandas(),
     }
     _KG_CACHE[key] = out
     return out

@@ -260,7 +260,9 @@ def canonicalize(triples_ds, sort: bool = True, n_reducers: int | None = None,
         partial = partial.map_batches(
             _add_bucket, batch_format="pyarrow", zero_copy_batch=True
         )
-    refs = partial.to_arrow_refs()  # materializes the combiner output
+    # materialize first: on a lazy Dataset, to_arrow_refs() runs the plan
+    # a second time to fetch the schema (Ray 2.49)
+    refs = partial.materialize().to_arrow_refs()
     if n_reducers is None:
         try:
             cpus = int(_ray.cluster_resources().get("CPU", 8))

@@ -14,10 +14,8 @@ resolution runs once per DISTINCT (repo, module, name) instead of once per
 mention — a batch with 300k call mentions does a few thousand lookups.
 
 Scale note: the broadcast dictionary is the right shape while the global
-DEF set fits comfortably in a worker heap (≲ tens of millions of symbols).
-Beyond that, partition BOTH sides by ``repo`` (resolution is repo-local by
-construction) and link inside ``groupby("repo").map_groups`` — same spec,
-shuffle instead of broadcast; salting for mega-repos per SURVEY §4.2.
+DEF set fits comfortably in a worker heap (≲ tens of millions of symbols;
+docs/SCALE.md gives the measured size at the benchmark's corpus).
 """
 
 from __future__ import annotations
@@ -56,27 +54,6 @@ def resolve_call(symbols: dict, repo: str, module: str, name: str):
     return lst[0]
 
 
-def _flat_frame(batch: pa.Table) -> pd.DataFrame:
-    arr = batch.column("mentions")
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    lengths = arr.value_lengths().fill_null(0).to_numpy(zero_copy_only=False)
-    child = arr.flatten()
-    didx = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    df = pd.DataFrame(
-        {
-            "didx": didx,
-            "text": child.field("text").to_pandas(),
-            "start": child.field("start").to_numpy(zero_copy_only=False),
-            "end": child.field("end").to_numpy(zero_copy_only=False),
-            "label": child.field("label").to_pandas(),
-        }
-    )
-    for col in ["repo", "path", "commit", "content_sha256", "lang"]:
-        df[col] = batch.column(col).to_pandas().to_numpy()[didx]
-    return df
-
-
 class TripleLinker:
     """map_batches(TripleLinker, fn_constructor_kwargs={"symbols_ref": ref},
     batch_format="pyarrow", concurrency=N).
@@ -87,20 +64,13 @@ class TripleLinker:
 
     def __init__(self, symbols_ref):
         # one ray.get per actor: zero-copy read of the broadcast dictionary
-        # (a plain dict is also accepted — the partitioned linker builds a
-        # repo-local dict per bucket and calls the same body)
+        # (a plain dict is also accepted)
         if symbols_ref is None:
             self.symbols = {}
         elif isinstance(symbols_ref, dict):
             self.symbols = symbols_ref
         else:
-            got = ray.get(symbols_ref)
-            if isinstance(got, pa.Table):
-                # payload="table" broadcast: build the lookup dict HERE,
-                # once per worker process (parallel), instead of on the
-                # driver's critical path
-                got = _dict_from_symbol_table(got)
-            self.symbols = got
+            self.symbols = ray.get(symbols_ref)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         arr = batch.column("mentions")
@@ -331,111 +301,6 @@ def _symbols_from_rows(repos, modules, names) -> dict:
     return symbols
 
 
-#: doc columns the linker consumes (mentions last — nested type)
-_DOC_COLS = ["repo", "path", "commit", "lang", "content_sha256"]
-
-
-def link_partitioned(
-    docs_ds,
-    symbols_ds,
-    n_repo_buckets: int = 32,
-    n_salts: int = 4,
-):
-    """The SHUFFLE form of the linker for when the global DEF dictionary
-    outgrows a broadcast (see module docstring): resolution is repo-local
-    by construction, so BOTH sides co-partition on hash(repo) and each
-    partition links against only its repos' symbol rows. Mega-repos are
-    SALTED: a repo's docs spread over ``n_salts`` sub-partitions by
-    hash(path) while its (much smaller) symbol rows replicate to every
-    salt — the SURVEY §4.2 skew strategy, so one huge repo parallelizes
-    across n_salts workers instead of hot-spotting one.
-
-    Emits the identical triple table as the broadcast path (equality
-    asserted in tests/test_kg_pipeline.py on a mega-repo corpus)."""
-    import pandas as pd
-
-    from recon_ray.ops.mentions_io import MENTION_TYPE
-
-    mention_list_t = pa.list_(MENTION_TYPE)
-
-    def _bucket_of(repos: pd.Series) -> np.ndarray:
-        h = pd.util.hash_pandas_object(repos, index=False).to_numpy()
-        return (h % n_repo_buckets).astype(np.int64)
-
-    def tag_docs(t: pa.Table) -> pa.Table:
-        repo = t.column("repo").to_pandas()
-        path = t.column("path").to_pandas()
-        rb = _bucket_of(repo)
-        salt = (
-            pd.util.hash_pandas_object(path, index=False).to_numpy() % n_salts
-        ).astype(np.int64)
-        m = t.column("mentions")
-        if isinstance(m, pa.ChunkedArray):
-            m = m.combine_chunks()
-        return pa.table(
-            {
-                "bucket": pa.array(rb * n_salts + salt, pa.int64()),
-                "kind": pa.array(["doc"] * t.num_rows, pa.string()),
-                **{c: t.column(c) for c in _DOC_COLS},
-                "module": pa.nulls(t.num_rows, pa.string()),
-                "name": pa.nulls(t.num_rows, pa.string()),
-                "mentions": m.cast(mention_list_t),
-            }
-        )
-
-    def tag_symbols(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        repo = t.column("repo").to_pandas()
-        rb = _bucket_of(repo)
-        parts = []
-        for s in range(n_salts):  # replicate symbol rows to every salt
-            parts.append(
-                pa.table(
-                    {
-                        "bucket": pa.array(rb * n_salts + s, pa.int64()),
-                        "kind": pa.array(["sym"] * n, pa.string()),
-                        "repo": t.column("repo"),
-                        "path": pa.nulls(n, pa.string()),
-                        "commit": pa.nulls(n, pa.string()),
-                        "lang": pa.nulls(n, pa.string()),
-                        "content_sha256": pa.nulls(n, pa.string()),
-                        "module": t.column("module"),
-                        "name": t.column("name"),
-                        "mentions": pa.nulls(n, mention_list_t),
-                    }
-                )
-            )
-        return pa.concat_tables(parts)
-
-    tagged = docs_ds.map_batches(
-        tag_docs, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        symbols_ds.map_batches(
-            tag_symbols, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-
-    def link_bucket(t: pa.Table) -> pa.Table:
-        is_sym = pc.equal(t.column("kind"), pa.scalar("sym"))
-        sym = t.filter(is_sym)
-        doc = t.filter(pc.invert(is_sym))
-        if doc.num_rows == 0:
-            return pa.table(
-                {name: pa.array([], typ) for name, typ in TRIPLE_FIELDS}
-            )
-        symbols = _symbols_from_rows(
-            sym.column("repo").to_pylist(),
-            sym.column("module").to_pylist(),
-            sym.column("name").to_pylist(),
-        )
-        linker = TripleLinker(symbols)
-        return linker(doc.select([*_DOC_COLS, "mentions"]))
-
-    return tagged.groupby("bucket").map_groups(
-        link_bucket, batch_format="pyarrow"
-    )
-
-
 def _dedup_symbol_table(symbol_rows: pa.Table) -> pa.Table:
     """(repo, module, name) occurrence rows → distinct sorted
     (repo, name, q) table, fully Arrow-vectorized (the pandas string
@@ -469,30 +334,14 @@ def _dict_from_symbol_table(t: pa.Table) -> dict:
     return symbols
 
 
-def build_symbol_broadcast(symbol_rows: pa.Table, payload: str = "dict"):
-    """Distinct (repo, module, name) rows → broadcast symbol lookup →
+def build_symbol_broadcast(symbol_rows: pa.Table):
+    """Distinct (repo, module, name) rows → broadcast symbol lookup dict →
     ray.put ref (read zero-copy by every linker worker; ships once, not
     per batch). Returns ``(ref, symbols_dict)``.
 
-    ``payload="dict"`` (default): the nested dict builds on the DRIVER
-    and ships ready-made — callers get the dict back too.
-
-    ``payload="table"``: the deduped sorted (repo, name, q) Arrow table
-    ships instead and EACH WORKER builds its dict once per process
-    (``TripleLinker.__init__``). Returns ``(ref, None)``. A/B at 32
-    cpus measured this NOT worth it (9.7–10.8 s vs 9.6–10.0 s headline:
-    32 redundant ~0.6 s builds cost more than one 0.55 s serial driver
-    build) — kept as the escape hatch for when the driver-side build
-    itself becomes the bottleneck (a symbol table orders of magnitude
-    larger, where per-worker build from the zero-copy Arrow payload
-    beats shipping a giant pickled dict).
-
     Dedup + qualified-name construction + ordering are Arrow-vectorized
-    either way (a per-row `q not in list` membership scan here measured
-    4.4 s of serial driver time at 96k files and scales quadratically
-    for hot names)."""
-    t = _dedup_symbol_table(symbol_rows)
-    if payload == "table":
-        return ray.put(t), None
-    symbols = _dict_from_symbol_table(t)
+    (a per-row `q not in list` membership scan here measured 4.4 s of
+    serial driver time at 96k files and scales quadratically for hot
+    names)."""
+    symbols = _dict_from_symbol_table(_dedup_symbol_table(symbol_rows))
     return ray.put(symbols), symbols

@@ -81,6 +81,37 @@ def _col_types(ds, cols) -> list:
     return out
 
 
+def ref_bundle_api_available() -> bool:
+    """True while Ray Data exposes the DeveloperAPI ``iter_block_refs``
+    streams from: ``Dataset.iter_internal_ref_bundles()`` yielding
+    bundles with a ``block_refs`` attribute."""
+    try:
+        from ray.data._internal.execution.interfaces import RefBundle
+    except ImportError:
+        return False
+    return (hasattr(rd.Dataset, "iter_internal_ref_bundles")
+            and hasattr(RefBundle, "block_refs"))
+
+
+def iter_block_refs(ds):
+    """Yield ``ds``'s block refs as the executor produces them, in
+    dataset order (preserve_order keeps the block order deterministic
+    while the executor still streams with backpressure). Unlike
+    ``to_arrow_refs()``, this runs a lazy plan once — Ray 2.49's
+    ``to_arrow_refs()`` executes it a second time to fetch the schema.
+    Without the DeveloperAPI it falls back to the public
+    ``materialize().to_arrow_refs()``, which waits for the whole plan."""
+    if not ref_bundle_api_available():
+        yield from ds.materialize().to_arrow_refs()
+        return
+    try:
+        ds.context.execution_options.preserve_order = True
+    except AttributeError:
+        pass
+    for bundle in ds.iter_internal_ref_bundles():
+        yield from bundle.block_refs
+
+
 def _feed_refs(ds, sort_col: str, ordered: bool):
     """Block refs in feed order. ``ordered=True`` → global sort +
     materialize (the deterministic replay mode; batch-equivalent by
@@ -90,19 +121,7 @@ def _feed_refs(ds, sort_col: str, ordered: bool):
     pipelining stay intact."""
     if ordered:
         return ds.sort(sort_col).materialize().to_arrow_refs()
-
-    def gen():
-        # preserve_order keeps the feed deterministic (block order =
-        # logical dataset order) while the executor still streams with
-        # backpressure — late-drop counts stay reproducible run-to-run
-        try:
-            ds.context.execution_options.preserve_order = True
-        except AttributeError:
-            pass
-        for bundle in ds.iter_internal_ref_bundles():
-            yield from bundle.block_refs
-
-    return gen()
+    return iter_block_refs(ds)
 
 
 def _emit_schema(key_cols: list[str], key_types=None) -> pa.Schema:

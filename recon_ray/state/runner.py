@@ -22,16 +22,15 @@ import os
 import time
 from typing import Optional
 
-import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
 import ray.data as rd
 
 from recon_ray import spec
 from recon_ray.functions.stats import entity_coverage, label_counts
 from recon_ray.hashing import combine_u64
 from recon_ray.pipelines.kg import run_kg, scan_symbols, read_files
-from recon_ray.stages.canonicalize import KEY_COLS, canonicalize
+from recon_ray.stages.canonicalize import canonicalize
 from recon_ray.stages.link import build_symbol_broadcast
 from recon_ray.state import lineage as lin
 
@@ -129,20 +128,24 @@ def run_kg_checkpointed(
             shard_frags,
             batch_size=batch_size,
             sort_output=False,
-            materialize_docs=True,
             symbols_ref=symbols_ref,
         )
         docs = res["docs"]
-        mentions = res["mentions"]
-        shard_canonical = canonicalize(res["triples"], sort=False)
+        # three consumers below (count, coverage, label counts): explode once
+        mentions = res["mentions"].materialize()
 
-        with lin.atomic_output_dir(os.path.join(shard_dir, "triples")) as tmp:
-            shard_canonical.write_parquet(tmp)
-        n_canonical = sum(
-            pq.ParquetFile(os.path.join(shard_dir, "triples", f)).metadata.num_rows
-            for f in os.listdir(os.path.join(shard_dir, "triples"))
-            if f.endswith(".parquet")
-        )
+        triples_dir = os.path.join(shard_dir, "triples")
+        with lin.atomic_output_dir(triples_dir) as tmp:
+            res["canonical"].write_parquet(tmp)
+        # n_mentions of a canonical row = the raw triples it absorbed
+        n_canonical = n_triples = 0
+        for f in os.listdir(triples_dir):
+            if f.endswith(".parquet"):
+                col = pq.read_table(
+                    os.path.join(triples_dir, f), columns=["n_mentions"]
+                ).column("n_mentions")
+                n_canonical += len(col)
+                n_triples += pc.sum(col).as_py() or 0
         n_mentions = mentions.count()
         if write_insights:
             with lin.atomic_output_dir(os.path.join(shard_dir, "insights")) as tmp:
@@ -169,6 +172,7 @@ def run_kg_checkpointed(
             content_hash_rollup=f"{sha_rollup:016x}",
             n_files=docs.count(),
             n_mentions=n_mentions,
+            n_triples=n_triples,
             n_canonical=n_canonical,
             elapsed_sec=time.time() - t0,
         )

@@ -278,7 +278,7 @@ def ray_result(tmp_path_factory):
 
     d = tmp_path_factory.mktemp("handpinned")
     pq.write_table(pa.Table.from_pylist(ROWS), str(d / "part-0.parquet"))
-    res = run_kg(str(d), concurrency=2, materialize_docs=True)
+    res = run_kg(str(d))
     return {
         "canonical": res["canonical"].to_pandas(),
         "mentions": res["mentions"].to_pandas(),

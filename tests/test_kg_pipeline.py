@@ -17,9 +17,7 @@ COLS = [
 
 @pytest.fixture(scope="module")
 def kg_result(unit_corpus_dir):
-    res = run_kg(
-        unit_corpus_dir, track_lineage=True, concurrency=2, materialize_docs=True
-    )
+    res = run_kg(unit_corpus_dir, track_lineage=True)
     canonical = res["canonical"].to_pandas()
     mentions = res["mentions"].to_pandas()
     return res, canonical, mentions
@@ -89,35 +87,17 @@ def test_lineage_counts(kg_result):
 
 
 def test_symbol_dict_matches_reference(kg_result, gold_extraction):
+    import ray
+
     res, _, _ = kg_result
     ray_rows = {
         (r["id"], r["name"], r["repo"])
-        for repo, names in res["symbols_dict"].items()
+        for repo, names in ray.get(res["symbols_ref"]).items()
         for name, quals in names.items()
         for r in [{"id": q, "name": name, "repo": repo} for q in quals]
     }
     gold_rows = {(r["id"], r["name"], r["repo"]) for r in gold_extraction["symbols"]}
     assert ray_rows == gold_rows
-
-
-def test_partitioned_linker_equals_broadcast(unit_corpus_dir, kg_result):
-    """linker_mode='partitioned' (co-partition by repo hash, mega-repo
-    salting, symbols never collected) must emit triple-for-triple the same
-    canonical table as the broadcast path. The unit corpus's megarepo owns
-    ~30% of files, so the salted path is exercised."""
-    import pandas as pd
-
-    from recon_ray.pipelines.kg import run_kg
-
-    res, _, _ = kg_result
-    a = res["canonical"].to_pandas()
-    b = run_kg(unit_corpus_dir, linker_mode="partitioned")[
-        "canonical"
-    ].to_pandas()
-    key = ["subj", "pred", "obj", "subj_type", "obj_type"]
-    a2 = a.sort_values(key).reset_index(drop=True)
-    b2 = b.sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a2, b2[a2.columns])
 
 
 def test_canonicalize_fanin_fallback_equals_task_reduce(kg_result):
@@ -137,8 +117,8 @@ def test_canonicalize_fanin_fallback_equals_task_reduce(kg_result):
 
 
 def test_empty_corpus_all_modes(tmp_path):
-    """0 rows flow through every pipeline mode without error (schema-less
-    empty blocks must not break the reduce kernels)."""
+    """0 rows flow through the pipeline without error (schema-less empty
+    blocks must not break the reduce kernels)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -152,7 +132,6 @@ def test_empty_corpus_all_modes(tmp_path):
     )
     pq.write_table(t, str(d / "part-0.parquet"))
     assert run_kg(str(d))["canonical"].count() == 0
-    assert run_kg(str(d), linker_mode="partitioned")["canonical"].count() == 0
     assert run_kg(str(d), symbol_source="mentions")["canonical"].count() == 0
 
 
@@ -168,16 +147,93 @@ def test_symbols_from_docs_equals_scan(unit_corpus_dir, kg_result):
     pd.testing.assert_frame_equal(derived, scan)
 
 
-def test_symbol_broadcast_payload_modes(ray_session, kg_result):
-    """payload="table" ships the deduped Arrow rows and each worker
-    builds the dict locally (TripleLinker.__init__); the resulting
-    lookup must equal the driver-built dict payload bit-for-bit."""
-    from recon_ray.pipelines.kg import symbols_from_docs
-    from recon_ray.stages.link import TripleLinker, build_symbol_broadcast
+def test_small_batches_with_empty_read_blocks(tmp_path):
+    """32 files in 8 fragments at batch_size=8: the read fans out to more
+    blocks than rows, so empty, column-less blocks reach the per-block
+    symbol build. The output must still equal the reference extractor's."""
+    import pyarrow as pa
 
-    res, _, _ = kg_result
-    st = symbols_from_docs(res["docs"])
-    ref_d, d = build_symbol_broadcast(st)
-    ref_t, none = build_symbol_broadcast(st, payload="table")
-    assert none is None
-    assert TripleLinker(ref_t).symbols == d == TripleLinker(ref_d).symbols
+    from recon_ray import reference_extractor as rx
+    from recon_ray.corpusgen import generate_corpus, write_corpus
+    from recon_ray.pipelines.kg import _defs_kernel
+
+    assert _defs_kernel(pa.table({})).column_names == ["repo", "module", "name"]
+    d = write_corpus(32, str(tmp_path / "files"), seed=7, files_per_fragment=4)
+    got = run_kg(d, batch_size=8)["canonical"].to_pandas()
+    gold = pd.DataFrame(
+        rx.extract_corpus(generate_corpus(32, seed=7).to_pylist())["canonical"]
+    )
+    assert len(gold) > 0
+    pd.testing.assert_frame_equal(
+        got[COLS].reset_index(drop=True),
+        gold[COLS].sort_values(["subj", "pred", "obj"]).reset_index(drop=True),
+    )
+
+
+def test_linker_sees_each_doc_once(unit_corpus_dir, tmp_path, monkeypatch):
+    """Linking runs once per doc, in run_kg and in the checkpointed runner:
+    no lazy plan is executed twice (Ray 2.49's to_arrow_refs() re-runs a
+    lazy plan for its schema) and no shard is canonicalized twice."""
+    from recon_ray.pipelines import kg
+    from recon_ray.state.runner import run_kg_checkpointed
+
+    log = tmp_path / "linked_rows"
+    real = kg.make_link_batch
+
+    def counting_make_link_batch(symbols_ref):
+        link_batch, path = real(symbols_ref), str(log)
+
+        def counted(batch):
+            with open(path, "a") as f:
+                f.write(f"{batch.num_rows}\n")
+            return link_batch(batch)
+
+        return counted
+
+    def linked_rows() -> int:
+        n = sum(int(x) for x in log.read_text().split())
+        log.unlink()
+        return n
+
+    monkeypatch.setattr(kg, "make_link_batch", counting_make_link_batch)
+    kg.run_kg(unit_corpus_dir)["canonical"].count()
+    assert linked_rows() == 120
+    run_kg_checkpointed(unit_corpus_dir, str(tmp_path / "ckpt"),
+                        fragments_per_shard=1)
+    assert linked_rows() == 120
+
+
+def test_ref_bundle_api_pinned():
+    """run_kg and the streaming feed take block refs off the executor
+    through Ray Data's DeveloperAPI (Dataset.iter_internal_ref_bundles,
+    RefBundle.block_refs). A Ray upgrade that drops either must fail
+    here, not silently switch every run to the slower fallback."""
+    import ray
+    import ray.data as rd
+
+    from recon_ray.stages.streaming import (iter_block_refs,
+                                            ref_bundle_api_available)
+
+    assert ref_bundle_api_available()
+    refs = list(iter_block_refs(rd.range(10, override_num_blocks=3)))
+    assert sum(len(b) for b in ray.get(refs)) == 10
+
+
+def test_ref_bundle_api_fallback(kg_result, unit_corpus_dir, monkeypatch):
+    """Without the DeveloperAPI, iter_block_refs falls back to
+    materialize().to_arrow_refs() and run_kg emits the same triples."""
+    import ray.data as rd
+    from ray.data._internal.execution.interfaces import RefBundle
+
+    from recon_ray.stages import streaming
+
+    for cls, attr in [(rd.Dataset, "iter_internal_ref_bundles"),
+                      (RefBundle, "block_refs")]:
+        with monkeypatch.context() as m:
+            m.delattr(cls, attr)
+            assert not streaming.ref_bundle_api_available()
+    # Ray Data itself calls both attributes, so the run hides them from
+    # the probe only
+    monkeypatch.setattr(streaming, "ref_bundle_api_available", lambda: False)
+    got = run_kg(unit_corpus_dir)["canonical"].to_pandas()
+    pd.testing.assert_frame_equal(got, kg_result[1])

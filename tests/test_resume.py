@@ -47,6 +47,7 @@ def test_manifests_record_lineage(ckpt):
     out, _, _, _ = ckpt
     shard_dirs = sorted(os.listdir(os.path.join(out, "shards")))
     assert len(shard_dirs) == 3
+    n_triples = 0
     for d in shard_dirs:
         with open(os.path.join(out, "shards", d, "manifest.json")) as f:
             m = json.load(f)
@@ -54,8 +55,12 @@ def test_manifests_record_lineage(ckpt):
         assert m["n_files"] > 0 and m["n_canonical"] > 0
         assert m["content_hash_rollup"]
         assert m["input_fragments"][0]["rows"] == m["n_files"]
+        n_triples += m["n_triples"]
         # per-partition quality insights written alongside
         assert os.path.isdir(os.path.join(out, "shards", d, "insights", "coverage"))
+    # n_triples counts the shard's raw triples, which the merge only sums
+    final = pd.read_parquet(os.path.join(out, "triples", "data"))
+    assert n_triples == final["n_mentions"].sum() > 0
 
 
 def test_stale_shard_dirs_not_merged(ckpt, unit_corpus_dir, tmp_path_factory):

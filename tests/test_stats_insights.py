@@ -55,7 +55,7 @@ def test_entity_coverage(gold_mentions_ds, gold_mentions_df):
 def test_ner_stats(unit_corpus_dir, gold_extraction):
     from recon_ray.pipelines.kg import run_kg
 
-    res = run_kg(unit_corpus_dir, concurrency=2)
+    res = run_kg(unit_corpus_dir)
     stats = st.ner_stats(res["docs"])
     gold = pd.DataFrame(gold_extraction["mentions"])
     assert stats["n_docs"] == 120
@@ -77,7 +77,7 @@ def test_coverage_similarity_self(gold_mentions_ds):
 def test_label_distribution_similarity_identical(unit_corpus_dir):
     from recon_ray.pipelines.kg import run_kg
 
-    docs = run_kg(unit_corpus_dir, concurrency=2)["docs"]
+    docs = run_kg(unit_corpus_dir)["docs"]
     assert st.label_distribution_similarity(docs, docs) == pytest.approx(100.0)
 
 
@@ -123,7 +123,7 @@ def test_top_prediction_errors_degraded_chain(unit_corpus_dir):
     from recon_ray.stages.detect import MentionDetector
     from recon_ray.stages.explode import explode_mentions
 
-    res = run_kg(unit_corpus_dir, concurrency=2, materialize_docs=True)
+    res = run_kg(unit_corpus_dir)
     gold_ms = res["mentions"]
 
     degraded = read_files(unit_corpus_dir).map_batches(

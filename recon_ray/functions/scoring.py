@@ -73,18 +73,3 @@ def score_mentions_frames(pred: pd.DataFrame, gold: pd.DataFrame) -> dict:
         "per_label": per_label,
     }
 
-
-def score_mentions(pred_ds, gold_ds) -> dict:
-    pred = pred_ds.select_columns(MENTION_KEY).to_pandas()
-    gold = gold_ds.select_columns(MENTION_KEY).to_pandas()
-    return score_mentions_frames(pred, gold)
-
-
-def score_triples(pred_ds, gold_ds) -> dict:
-    """Dataset version: project to the key columns distributedly, dedupe,
-    then compare the (small) key sets on the driver. For corpora where even
-    the distinct key set is huge, replace the driver compare with an outer
-    join on KEY + Count aggregates — same result, all-shuffle."""
-    pred = pred_ds.select_columns(KEY).to_pandas()
-    gold = gold_ds.select_columns(KEY).to_pandas()
-    return score_triples_frames(pred, gold)

@@ -165,14 +165,6 @@ def jensen_shannon_distance(p, q) -> float:
     return math.sqrt(max(jsd, 0.0))
 
 
-def sorted_type_counts(stats: dict) -> list[int]:
-    """get_sorted_type_counts port (recon/stats.py:53-65): per-type counts
-    (incl. the NOT_LABELED bucket = docs with no mentions) sorted by name."""
-    per_type = dict(stats["n_mentions_per_type"])
-    per_type["NOT_LABELED"] = stats["n_docs_no_mentions"]
-    return [c for _, c in sorted(per_type.items())]
-
-
 def label_distribution_similarity(x_docs, y_docs) -> float:
     sx = ner_stats(x_docs)
     sy = ner_stats(y_docs)

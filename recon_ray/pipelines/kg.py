@@ -12,9 +12,9 @@
       → triple linking against that dictionary     [elastic tasks; the dict
           (or a caller-given one)                    is fetched once per
                                                     worker process]
-      → canonicalize (combiner → small-partials
-          barrier → bucketed hash merge)           [shuffle]
-      → sort(subj, pred, obj)                      [range-partitioned reduce]
+      → canonicalize (combiner → small-partials    [range-partitioned
+          barrier → key-range merge, each range      reduce tasks; output
+          sorted by (subj, pred, obj))               sorted, no sort stage]
     plus the exploded mentions table for stats/insights.
 
 ``run_kg`` executes detection, the symbol build, linking and the
@@ -184,13 +184,12 @@ def run_kg(
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
     track_lineage: bool = False,
-    sort_output: bool = True,
     symbols_ref=None,
     symbol_source: str = "mentions",
 ) -> dict:
     """Detect → correct → pin docs (+ symbol build) → link → canonicalize.
-    Returns the component Datasets, the symbol dictionary ref and the
-    lineage tracker.
+    Returns the component Datasets (``canonical`` sorted by
+    (subj, pred, obj)), the symbol dictionary ref and the lineage tracker.
 
     ``symbols_ref``: pass a pre-broadcast symbol dictionary (ray.put ref)
     to link against it instead of the dictionary derived from this call's
@@ -248,7 +247,7 @@ def run_kg(
         zero_copy_batch=True,
         batch_size=batch_size,
     )
-    canonical = canonicalize(triples, sort=sort_output)
+    canonical = canonicalize(triples)
     mentions = explode_mentions(docs)
 
     return {

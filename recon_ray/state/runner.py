@@ -124,12 +124,7 @@ def run_kg_checkpointed(
             manifests.append(lin.load_manifest(shard_dir))
             continue
         t0 = time.time()
-        res = run_kg(
-            shard_frags,
-            batch_size=batch_size,
-            sort_output=False,
-            symbols_ref=symbols_ref,
-        )
+        res = run_kg(shard_frags, batch_size=batch_size, symbols_ref=symbols_ref)
         docs = res["docs"]
         # three consumers below (count, coverage, label counts): explode once
         mentions = res["mentions"].materialize()
@@ -207,7 +202,7 @@ def run_kg_checkpointed(
                 )
                 if f.endswith(".parquet")
             ]
-            merged = canonicalize(rd.read_parquet(shard_parts), sort=True)
+            merged = canonicalize(rd.read_parquet(shard_parts))
             with lin.atomic_output_dir(os.path.join(final_dir, "data")) as tmp:
                 merged.write_parquet(tmp)
             # count the MERGED rows (cross-shard triples dedupe at the global

@@ -100,20 +100,57 @@ def test_symbol_dict_matches_reference(kg_result, gold_extraction):
     assert ray_rows == gold_rows
 
 
-def test_canonicalize_fanin_fallback_equals_task_reduce(kg_result):
-    """Above MAX_REDUCE_FANIN combiner blocks canonicalize falls back to
-    Ray's staged shuffle; forcing the fallback (max_fanin=1) must produce
-    the identical sorted canonical table."""
-    import pandas as pd
+def test_canonicalize_over_1024_blocks(kg_result):
+    """Past 1024 partial blocks (the old fallback threshold) the range
+    reduce still hands every block to every task: 1100 raw-triple slices
+    canonicalize to the identical sorted table. ``sort=False`` is accepted
+    and ignored: the output is the same sorted table."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
 
     from recon_ray.stages.canonicalize import canonicalize
 
     res, _, _ = kg_result
     a = res["canonical"].to_pandas()
-    b = canonicalize(res["triples"], sort=True, max_fanin=1).to_pandas()
-    pd.testing.assert_frame_equal(
-        a.reset_index(drop=True), b[a.columns].reset_index(drop=True)
-    )
+    raw = pa.concat_tables(ray.get(res["triples"].materialize().to_arrow_refs()))
+    n = 1100
+    assert raw.num_rows >= n
+    cuts = [raw.num_rows * i // n for i in range(n + 1)]
+    refs = [ray.put(raw.slice(cuts[i], cuts[i + 1] - cuts[i])) for i in range(n)]
+    for ds, sort in ((rd.from_arrow_refs(refs), True), (res["triples"], False)):
+        b = canonicalize(ds, sort=sort).to_pandas()
+        pd.testing.assert_frame_equal(
+            a.reset_index(drop=True), b[a.columns].reset_index(drop=True)
+        )
+        keys = list(zip(b["subj"], b["pred"], b["obj"]))
+        assert keys == sorted(keys)
+
+
+def test_key_boundaries_match_python_sort():
+    """The Arrow-sorted boundary sample equals sorting the packed keys as
+    Python str: duplicates, non-ASCII text and the \\x00 separator."""
+    import pyarrow as pa
+
+    from recon_ray.stages.canonicalize import _key_boundaries
+
+    def python_bounds(keys, n_ranges):
+        keys = sorted(keys)
+        bounds = []
+        for r in range(1, n_ranges):
+            b = keys[min(len(keys) - 1, len(keys) * r // n_ranges)]
+            if not bounds or b != bounds[-1]:
+                bounds.append(b)
+        return bounds
+
+    words = ["a", "a\x00b", "a\x00", "ab", "Z", "é", "e\u0301", "日本",
+             "\U0001f600", "ß", "a\x00b", "z\x00\x00", "", "ÿ", "\uffff"]
+    keys = [f"{w}\x00{v}" for w in words for v in ("x", "ä", "x")] + words * 3
+    for n_ranges in (2, 3, 8, 16, 64, 256):
+        for chunks in ([keys], [keys[:7], keys[7:]]):
+            arr = pa.chunked_array(chunks, pa.string())
+            assert _key_boundaries(arr, n_ranges) == python_bounds(keys, n_ranges)
+    assert _key_boundaries(pa.chunked_array([], pa.string()), 8) == []
 
 
 def test_empty_corpus_all_modes(tmp_path):

@@ -186,3 +186,34 @@ def test_incremental_ingest_growth(tmp_path_factory):
     b = b.sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(a[cols], b[cols])
     assert (a["n_mentions"].to_numpy() == b["n_mentions"].to_numpy()).all()
+
+
+def test_shard_triples_sorted(tmp_path_factory):
+    """Each shard's triples, read in the file-name order the final merge
+    lists them, are sorted by (subj, pred, obj): the per-shard canonical
+    output comes from the same range-partitioned reduce as ``run_kg``."""
+    import pyarrow.parquet as pq
+
+    from recon_ray.corpusgen import generate_corpus
+    from recon_ray.state.runner import run_kg_checkpointed
+
+    table = generate_corpus(200, seed=3)
+    files = tmp_path_factory.mktemp("sorted_files")
+    bounds = [table.num_rows * i // 16 for i in range(17)]
+    for i in range(16):
+        pq.write_table(table.slice(bounds[i], bounds[i + 1] - bounds[i]),
+                       str(files / f"part-{i:05d}.parquet"))
+    out = str(tmp_path_factory.mktemp("sorted_out"))
+    r = run_kg_checkpointed(str(files), out, fragments_per_shard=8)
+    assert r["complete"] and r["shards_run"] == 2
+
+    for sid in range(2):
+        d = os.path.join(out, "shards", f"shard={sid:04d}", "triples")
+        parts = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+        shard = pd.concat(
+            [pd.read_parquet(os.path.join(d, f)) for f in parts],
+            ignore_index=True,
+        )
+        assert len(shard) > 0
+        keys = list(zip(shard["subj"], shard["pred"], shard["obj"]))
+        assert keys == sorted(keys)

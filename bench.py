@@ -302,11 +302,10 @@ def run_bench() -> dict:
         on="l_orderkey", right_on="o_orderkey").count()
     queries["shuffle_join_big2"] = round(time.time() - t0, 3)
 
-    # grouped_agg through the task-based bucket exchange (strategy
-    # "auto"): 147k distinct l_orderkey groups merge in ~0.3 s vs ~70 s
-    # through Ray's sort-based Aggregate on the same partials (measured
-    # r5; the delta is recorded in BASELINE.md — the ray path is not
-    # re-benched every round at that cost)
+    # grouped_agg through the hash exchange: 147k distinct l_orderkey
+    # groups merge in ~0.3 s vs ~70 s through Ray's sort-based Aggregate
+    # on the same partials (measured r5; recorded in BASELINE.md and
+    # docs/SCALE.md)
     from recon_ray.functions.relational import grouped_agg
 
     li_ga = rd.read_parquet(

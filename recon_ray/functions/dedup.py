@@ -932,7 +932,7 @@ def embedding_neardup(
     # graph canon stages
     pre = pre.map_batches(lambda t: t, batch_format="pyarrow",
                           batch_size=block_rows)
-    refs = pre.to_arrow_refs()
+    refs = pre.materialize().to_arrow_refs()
     prepped = [_prep_emb_block.remote(r, id_col, emb_col) for r in refs]
     data_refs = [p[0] for p in prepped]
     metas = ray.get([p[1] for p in prepped])

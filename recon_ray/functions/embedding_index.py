@@ -159,7 +159,7 @@ def embedding_index_ingest(state_dir: str, emb_ds, batch_id: str,
             # merge first (same guard as embedding_neardup)
             lambda t: t, batch_format="pyarrow", batch_size=4096)
         prepped = [_prep_emb_block.remote(r, id_col, emb_col)
-                   for r in pre.to_arrow_refs()]
+                   for r in pre.materialize().to_arrow_refs()]
         data_refs = [p[0] for p in prepped]
         metas = ray.get([p[1] for p in prepped])
         part_cache: dict = {}

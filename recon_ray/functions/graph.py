@@ -173,7 +173,7 @@ def pagerank(
     bit-identical to the unrolled SQL from :func:`pagerank_oracle_sql`.
     """
     sel = [subj_col, obj_col] + ([weight_col] if weight_col else [])
-    refs = triples_ds.select_columns(sel).to_arrow_refs()
+    refs = triples_ds.select_columns(sel).materialize().to_arrow_refs()
     parts = ray.get([_distinct_nodes.remote(b, subj_col, obj_col) for b in refs])
     parts = [p for p in parts if len(p)]
     if not parts:
@@ -606,7 +606,8 @@ def bfs_levels(
     is O(N_nodes) bits, never the edges. Levels are exact integers, so
     the recursive-CTE SQL oracle (min level per reached node, depth
     capped) reproduces them bit-for-bit."""
-    refs = triples_ds.select_columns([subj_col, obj_col]).to_arrow_refs()
+    refs = (triples_ds.select_columns([subj_col, obj_col])
+            .materialize().to_arrow_refs())
     parts = ray.get(
         [_distinct_nodes.remote(b, subj_col, obj_col) for b in refs]
     )
@@ -721,7 +722,7 @@ def cheapest_paths(
 
     Returns (entity, cost) for nodes reachable within ``n_rounds``."""
     sel = [subj_col, obj_col] + ([weight_col] if weight_col else [])
-    refs = triples_ds.select_columns(sel).to_arrow_refs()
+    refs = triples_ds.select_columns(sel).materialize().to_arrow_refs()
     parts = ray.get(
         [_distinct_nodes.remote(b, subj_col, obj_col) for b in refs]
     )
@@ -822,7 +823,7 @@ def hits(
 
     Returns (entity, hub_q, auth_q)."""
     sel = [subj_col, obj_col] + ([weight_col] if weight_col else [])
-    refs = triples_ds.select_columns(sel).to_arrow_refs()
+    refs = triples_ds.select_columns(sel).materialize().to_arrow_refs()
     parts = ray.get(
         [_distinct_nodes.remote(b, subj_col, obj_col) for b in refs]
     )

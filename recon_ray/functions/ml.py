@@ -97,7 +97,7 @@ def fit_logreg(
     label_col)`` with deterministic full-batch GD. Returns ``{"weights":
     (k, d+1) ndarray, "loss": per-iter list, "accuracy": float, "n": int,
     "n_classes": k}``. Labels must be 0..k-1 integers."""
-    refs = ds.to_arrow_refs()
+    refs = ds.materialize().to_arrow_refs()
     if n_classes is None:
         # one cheap pass for the label range (labels are small ints)
         maxes = ray.get([_label_max_task.remote(b, label_col) for b in refs])
@@ -226,7 +226,7 @@ def fit_pca(ds, n_components: int = 8, emb_col: str = "embedding") -> dict:
     Returns {"components": (k, d), "explained_variance": (k,),
     "explained_ratio": (k,), "mean": (d,), "n": int}.
     """
-    refs = ds.to_arrow_refs()
+    refs = ds.materialize().to_arrow_refs()
     parts = ray.get([_cov_partial_task.remote(b, emb_col) for b in refs])
     # object-dtype reduce = exact Python-int sums (per-row cell magnitude
     # ≤ 2^30 → int64 would wrap past ~2^33 rows; a 100-TB embedding table

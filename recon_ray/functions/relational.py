@@ -8,9 +8,13 @@ distributed shapes (SURVEY §2.5):
 - ``broadcast_join``: small side ``ray.put`` once, pandas merge per batch —
   no shuffle. The right tool for dimension tables, vocab, blocklists.
 - ``semi_join`` / ``anti_join``: broadcast key set + vectorized isin filter.
+- ``shuffle_join`` / ``shuffle_semi_join``: both sides large — one hash
+  exchange (``hash_exchange``: a split task per block, a reduce task per
+  bucket) with a local Acero join per bucket.
 - ``grouped_agg``: combiner pattern — per-batch pandas partial aggregates
-  (sum/count/min/max; mean derived as sum/count at merge), then a small
-  global groupby. Hot keys arrive pre-reduced (skew absorber).
+  (sum/count/min/max; mean derived as sum/count at merge), then the same
+  hash exchange merges them per bucket. Hot keys arrive pre-reduced
+  (skew absorber).
 - ``salted_group_count``: the explicit salting path for combiner-less
   aggregations — key ⊕ salt bucket first, merge second (SURVEY §4.2).
 - ``local_global_topk``: per-batch top-k then driver merge — no global sort.
@@ -27,7 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Count, Sum
 
 AggSpec = dict[str, Sequence[str]]  # col → ["sum","count","min","max","mean"]
 
@@ -123,85 +127,223 @@ _PA_JOIN_TYPE = {"inner": "inner", "left_outer": "left outer",
                  "right_outer": "right outer", "full_outer": "full outer",
                  "left_semi": "left semi", "left_anti": "left anti"}
 
+# Upper bound on the slice objects one hash exchange creates (input
+# blocks × buckets). Each slice is its own object-store entry and the
+# driver holds a ref to every one; past the bound, the split tasks take
+# several input blocks each, so the object count stays bounded and the
+# slices grow instead.
+MAX_EXCHANGE_OBJECTS = 16_384
 
-@ray.remote
-def _hash_bucket_split(tbl: pa.Table, keys, n_buckets: int):
-    """Map side of the bucketed task join: split one Arrow block into
-    ``n_buckets`` hash buckets. Called with ``num_returns=n_buckets``
-    so each bucket is its OWN object-store entry — the driver holds
-    only refs, never table bytes."""
-    df = tbl.select(list(keys)).to_pandas()
-    # positional column names: both sides must bucket identically even
-    # when the key COLUMNS are named differently (l_orderkey vs
-    # o_orderkey)
-    df.columns = range(len(df.columns))
+
+def hash_buckets(keys: pd.DataFrame, n_buckets: int) -> np.ndarray:
+    """The one bucket rule of every hash exchange: row ``i`` goes to
+    bucket ``hash_pandas_object(keys row i) % n_buckets``.
+
+    Key columns match by POSITION, not name, so two sides bucket alike
+    when their key columns are named differently (l_orderkey vs
+    o_orderkey). Numeric and bool keys hash as float64: an int64 key in
+    one block and the same values as float64 in another (pandas renders
+    a nullable int column float64 once the block has a NULL) must land
+    in the same bucket, and ``hash_pandas_object`` is dtype-sensitive.
+    float64 rounding past 2^53 only merges buckets, never splits a key
+    across them."""
+    df = keys.copy(deep=False)
+    df.columns = range(df.shape[1])
     for c in df.columns:
-        # dtype-normalize before hashing: an int64 key on one side and
-        # the SAME values as float64 on the other (a nullable int
-        # column renders float64 in pandas once any block has a NULL)
-        # must land in the same bucket — hash_pandas_object is
-        # dtype-sensitive. float64 rounding past 2^53 only merges
-        # buckets, never splits a key across buckets, so correctness
-        # is untouched.
         if isinstance(df[c].dtype, pd.CategoricalDtype):
             df[c] = df[c].astype(object)
         elif pd.api.types.is_bool_dtype(df[c]) or \
                 pd.api.types.is_numeric_dtype(df[c]):
             df[c] = pd.to_numeric(df[c]).astype("float64")
     h = pd.util.hash_pandas_object(df, index=False).to_numpy()
-    b = (h % np.uint64(n_buckets)).astype(np.int64)
-    out = tuple(tbl.take(np.flatnonzero(b == i))
-                for i in range(n_buckets))
-    return out if n_buckets > 1 else out[0]
+    return (h % np.uint64(n_buckets)).astype(np.int64)
+
+
+def bucket_slices(block, buckets: np.ndarray, n_buckets: int) -> tuple:
+    """Cut an Arrow or pandas block into ``n_buckets`` slices by the
+    per-row bucket ids; every slice keeps the block's columns."""
+    rows = [np.flatnonzero(buckets == i) for i in range(n_buckets)]
+    if isinstance(block, pa.Table):
+        return tuple(block.take(r) for r in rows)
+    return tuple(block.iloc[r] for r in rows)
+
+
+def _concat(parts):
+    """Concatenate blocks of one format (Arrow or pandas)."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], pa.Table):
+        return pa.concat_tables(parts, promote_options="permissive")
+    return pd.concat(parts, ignore_index=True)
 
 
 @ray.remote
-def _bucket_join_task(lrefs, rrefs, lk, rk, how: str) -> pa.Table:
-    """Reduce side: fetch this bucket's slices from every map output
-    (zero-copy plasma reads), concat, and run ONE local Acero join.
-    Hash partitioning puts every key wholly in one bucket, so even
-    outer joins are correct per-bucket."""
-    lt = pa.concat_tables(ray.get(list(lrefs)),
-                          promote_options="default")
-    rt = pa.concat_tables(ray.get(list(rrefs)),
-                          promote_options="default")
-    return lt.join(rt, keys=list(lk), right_keys=list(rk),
-                   join_type=_PA_JOIN_TYPE[how], right_suffix="_r")
+def _split_task(key_cols, n_buckets: int, *blocks):
+    """Map side of the hash exchange: concatenate ``blocks`` (one, or a
+    coalesced group) and cut them into ``n_buckets`` key-hash slices,
+    each its OWN object-store entry (``num_returns=n_buckets``) so the
+    driver holds only refs. Slices keep the input format. Ray
+    synthesizes zero-column empty blocks (repartition or filter of
+    small inputs); blocks without the key columns carry no rows, and a
+    group with no keyed block fans out as ``n_buckets`` empty slices."""
+    keyed = [b for b in blocks if set(key_cols) <= set(
+        b.column_names if isinstance(b, pa.Table) else b.columns)]
+    if keyed:
+        block = _concat(keyed)
+        b = hash_buckets(block.select(list(key_cols)).to_pandas()
+                         if isinstance(block, pa.Table)
+                         else block[list(key_cols)], n_buckets)
+        out = bucket_slices(block, b, n_buckets)
+    else:
+        out = (blocks[0],) * n_buckets
+    return out if n_buckets > 1 else out[0]
 
 
-def _bucket_shuffle_join(left_ds, right_ds, on_, r_on, how: str,
-                         num_partitions: int):
-    """Task-based bucketed hash join — the lean exchange for the
-    big×big path. Two stages of raw Ray tasks (the documented escape
-    hatch: the Dataset API's join carries a streaming-shuffle operator
-    whose fixed cost dominates at medium scale):
+def split_blocks(refs, key_cols, n_buckets: int) -> list:
+    """Submit one split task over the block refs ``refs``; return its
+    ``n_buckets`` slice refs as a list (also when ``n_buckets == 1``,
+    where Ray returns a bare ref)."""
+    s = _split_task.options(num_returns=n_buckets).remote(
+        tuple(key_cols), n_buckets, *refs)
+    return [s] if n_buckets == 1 else list(s)
 
-      map:    one task per input block → ``num_partitions`` hash-bucket
-              sub-tables (driver keeps refs only)
-      reduce: one task per bucket → fetches its slice of every map
-              output and joins locally with Acero (same engine as
-              Ray's join ⇒ same semantics; equality-fuzzed in
-              tests/test_relational_fuzz.py)
 
-    Partitioning assumption: object count is M·B (map-blocks ×
-    buckets). ``shuffle_join(strategy="auto")`` only routes here while
-    M·B stays modest; past that, Ray's streaming hash shuffle — which
-    aggregates map outputs incrementally — is the right engine."""
+@ray.remote
+def _reduce_task(fn, empties, *sides):
+    """Reduce side of the hash exchange: for each side, fetch this
+    bucket's slice from every split task and concatenate them (a side
+    with no slice that has columns becomes its entry in ``empties``),
+    then return ``fn(*tables)``. Hash partitioning puts every key
+    wholly in one bucket, so ``fn`` sees all rows of each of its keys."""
+    tables = []
+    for refs, empty in zip(sides, empties):
+        live = [p for p in ray.get(list(refs)) if len(p.columns)]
+        tables.append(_concat(live) if live else empty)
+    return fn(*tables)
+
+
+def hash_exchange(sides, n_buckets: int, fn) -> list:
+    """One hash exchange: ``sides`` is a list of ``(block refs, key
+    columns, empty table)``. Every block is split by
+    :func:`hash_buckets` on its side's keys, and one reduce task per
+    bucket calls ``fn(side_0_rows, side_1_rows, ...)`` on that bucket's
+    rows. Returns the reduce refs in bucket order.
+
+    When blocks × buckets would pass ``MAX_EXCHANGE_OBJECTS``, each
+    split task takes a group of consecutive blocks instead of one."""
+    n_blocks = sum(len(refs) for refs, _, _ in sides)
+    per_task = max(1, -(-n_blocks * n_buckets // MAX_EXCHANGE_OBJECTS))
+    splits = [
+        [split_blocks(refs[i:i + per_task], keys, n_buckets)
+         for i in range(0, len(refs), per_task)]
+        for refs, keys, _ in sides
+    ]
+    empties = [empty for _, _, empty in sides]
+    return [
+        _reduce_task.remote(fn, empties,
+                            *[[s[i] for s in side] for side in splits])
+        for i in range(n_buckets)
+    ]
+
+
+def _arrow_type(t) -> Optional[pa.DataType]:
+    """A Dataset schema type (Arrow, or a numpy dtype for pandas
+    blocks) as an Arrow type; None when it has none (object)."""
+    if t is None or isinstance(t, pa.DataType):
+        return t
+    try:
+        return pa.from_numpy_dtype(t)
+    except (pa.ArrowNotImplementedError, TypeError, ValueError):
+        return None
+
+
+def _schema_types(sch, cols) -> list:
+    if sch is None:
+        return [None] * len(cols)
+    types = dict(zip(sch.names, sch.types))
+    return [_arrow_type(types.get(c)) for c in cols]
+
+
+def _empty_side(sch, keys, other_key_types) -> pa.Table:
+    """The 0-row table an all-empty join side joins as: ``sch``'s
+    columns (the side's schema taken before the rebatch, which turns
+    an empty side into one zero-column block), a key whose type is
+    unknown takes the other side's key type, and any other unknown
+    type becomes float64 (Acero rejects null-type non-key fields)."""
+    names = list(sch.names) if sch is not None else list(keys)
+    types = _schema_types(sch, names)
+    key_type = dict(zip(keys, other_key_types))
+    fields = []
+    for n, t in zip(names, types):
+        if t is None or pa.types.is_null(t):
+            t = key_type.get(n) or pa.float64()
+        fields.append(pa.field(n, t))
+    return pa.schema(fields).empty_table()
+
+
+def _to_f64(t: pa.Table, cols) -> pa.Table:
+    for c in cols:
+        i = t.schema.get_field_index(c)
+        t = t.set_column(i, pa.field(c, pa.float64()),
+                         pc.cast(t.column(c), pa.float64()))
+    return t
+
+
+def _hash_join(left_ds, right_ds, on_, r_on, how: str,
+               num_partitions: Optional[int]):
+    """Both joins' body: rebatch and pin each side, then one
+    :func:`hash_exchange` whose reduce runs a local Acero join per
+    bucket (same engine and semantics as Ray's ``Dataset.join``).
+
+    Both sides are re-batched with an explicit batch_size: Ray
+    synthesizes ZERO-COLUMN empty blocks (repartition of small inputs,
+    ``filter(expr=...)``) and passes them through map_batches without
+    calling the UDF; the explicit-batch_size batcher consumes blocks
+    into batches, where empties vanish."""
     import ray.data as rd
 
-    lrefs = left_ds.to_arrow_refs()
-    rrefs = right_ds.to_arrow_refs()
-    B = num_partitions
-    lsplits = [_hash_bucket_split.options(num_returns=B).remote(
-        t, tuple(on_), B) for t in lrefs]
-    rsplits = [_hash_bucket_split.options(num_returns=B).remote(
-        t, tuple(r_on), B) for t in rrefs]
-    if B == 1:
-        lsplits = [[s] for s in lsplits]
-        rsplits = [[s] for s in rsplits]
-    out = [_bucket_join_task.remote(
-        [s[i] for s in lsplits], [s[i] for s in rsplits],
-        tuple(on_), tuple(r_on), how) for i in range(B)]
+    if how not in _PA_JOIN_TYPE:
+        raise ValueError(f"unsupported join type {how!r}; "
+                         f"one of {sorted(_PA_JOIN_TYPE)}")
+    if num_partitions is None:
+        try:
+            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
+        except Exception:
+            num_partitions = 8
+    lm = left_ds.map_batches(
+        _rebatch, batch_format="pyarrow", batch_size=65536).materialize()
+    rm = right_ds.map_batches(
+        _rebatch, batch_format="pyarrow", batch_size=65536).materialize()
+    # an all-empty side leaves the rebatch as one zero-column block:
+    # take its schema from before the rebatch
+    lsch = lm.schema() or left_ds.schema()
+    rsch = rm.schema() or right_ds.schema()
+    l_types, r_types = _schema_types(lsch, on_), _schema_types(rsch, r_on)
+
+    # Acero rejects mismatched join key types. Numeric mismatches are
+    # legitimate inputs (an ALL-NULL pandas Int64 key upcasts to
+    # float64 on one side while the other stays int64), so both sides'
+    # keys normalize to float64 when a numeric pair disagrees — equal
+    # values stay equal, non-integral floats still match nothing.
+    def _numeric(t):
+        return t is not None and (pa.types.is_integer(t)
+                                  or pa.types.is_floating(t))
+
+    pairs = [(lc, rc) for lc, rc, a, b in zip(on_, r_on, l_types, r_types)
+             if _numeric(a) and _numeric(b) and a != b]
+    l_casts = [lc for lc, _ in pairs]
+    r_casts = [rc for _, rc in pairs]
+    join_type = _PA_JOIN_TYPE[how]
+
+    def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return _to_f64(lt, l_casts).join(
+            _to_f64(rt, r_casts), keys=list(on_), right_keys=list(r_on),
+            join_type=join_type, right_suffix="_r")
+
+    out = hash_exchange(
+        [(lm.to_arrow_refs(), on_, _empty_side(lsch, on_, r_types)),
+         (rm.to_arrow_refs(), r_on, _empty_side(rsch, r_on, l_types))],
+        num_partitions, join)
     return rd.from_arrow_refs(out)
 
 
@@ -212,140 +354,31 @@ def shuffle_join(
     right_on: Optional[Union[str, list[str]]] = None,
     how: str = "inner",
     num_partitions: Optional[int] = None,
-    strategy: str = "auto",
 ):
-    """Both-sides-large hash join: each side shuffles on the key into
-    ``num_partitions`` hash partitions and matching partitions join
-    pairwise. Use when neither side fits a broadcast; keys should be
-    pre-salted upstream if one key is hot.
-
-    ``strategy``: ``"bucket"`` = the task-based bucketed exchange
-    (``_bucket_shuffle_join``; ~2× lower fixed cost at medium scale),
-    ``"ray"`` = Ray's ``Dataset.join`` streaming hash shuffle,
-    ``"auto"`` (default) = bucket while the map-side object count
-    M·B is modest, else ray.
-
-    Both sides are first re-batched with an explicit batch_size: Ray
-    synthesizes ZERO-COLUMN empty blocks (repartition of small inputs,
-    ``filter(expr=...)``) and passes them through map_batches without
-    calling the UDF; if such a shard reaches a join partition builder
-    first, the build-side schema is empty and the join dies with "No
-    match for FieldRef on left side". The explicit-batch_size batcher
-    consumes blocks into batches, where empties vanish."""
+    """Both-sides-large hash join: each side splits on the key into
+    ``num_partitions`` hash buckets (:func:`hash_exchange`) and each
+    bucket joins locally. Use when neither side fits a broadcast; keys
+    should be pre-salted upstream if one key is hot. ``how`` is one of
+    inner / left_outer / right_outer / full_outer / left_semi /
+    left_anti; right-side columns that clash take an ``_r`` suffix."""
     on_ = (on,) if isinstance(on, str) else tuple(on)
-    left_ds = left_ds.map_batches(
-        _rebatch, batch_format="pyarrow", batch_size=65536
-    )
-    right_ds = right_ds.map_batches(
-        _rebatch, batch_format="pyarrow", batch_size=65536
-    )
     r_on = (
-        None if right_on is None
+        on_ if right_on is None
         else (right_on,) if isinstance(right_on, str) else tuple(right_on)
     )
-
-    # Acero rejects mismatched join key types. Numeric mismatches are
-    # legitimate inputs (an ALL-NULL pandas Int64 key upcasts to
-    # float64 on one side while the other stays int64), so both sides'
-    # keys normalize to float64 when a numeric pair disagrees — equal
-    # values stay equal, non-integral floats still match nothing.
-    def _atype(t):
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(t)
-        except (pa.ArrowNotImplementedError, TypeError, ValueError):
-            return None
-
-    lsch, rsch = left_ds.schema(), right_ds.schema()
-    if lsch is not None and rsch is not None:
-        l_casts, r_casts = [], []
-        for lc, rc in zip(on_, r_on or on_):
-            if lc not in lsch.names or rc not in rsch.names:
-                continue
-            lt = _atype(lsch.types[lsch.names.index(lc)])
-            rt = _atype(rsch.types[rsch.names.index(rc)])
-            if (lt is not None and rt is not None and lt != rt
-                    and (pa.types.is_integer(lt)
-                         or pa.types.is_floating(lt))
-                    and (pa.types.is_integer(rt)
-                         or pa.types.is_floating(rt))):
-                l_casts.append(lc)
-                r_casts.append(rc)
-
-        def _to_f64(t: pa.Table, cols) -> pa.Table:
-            for c in cols:
-                i = t.schema.get_field_index(c)
-                t = t.set_column(i, pa.field(c, pa.float64()),
-                                 pc.cast(t.column(c), pa.float64()))
-            return t
-
-        if l_casts:
-            left_ds = left_ds.map_batches(
-                lambda t, cols=tuple(l_casts): _to_f64(t, cols),
-                batch_format="pyarrow")
-            right_ds = right_ds.map_batches(
-                lambda t, cols=tuple(r_casts): _to_f64(t, cols),
-                batch_format="pyarrow")
-    if num_partitions is None:
-        try:
-            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            num_partitions = 8
-    if strategy != "ray" and how in _PA_JOIN_TYPE:
-        # pin both sides once (any shuffle engine executes them fully
-        # anyway) so the block counts that gate the bucket exchange
-        # are real, not estimates
-        lm, rm = left_ds.materialize(), right_ds.materialize()
-        n_blocks = lm.num_blocks() + rm.num_blocks()
-        if (lm.num_blocks() > 0 and rm.num_blocks() > 0
-                and (strategy == "bucket"
-                     or n_blocks * num_partitions <= 20_000)):
-            return _bucket_shuffle_join(
-                lm, rm, on_, r_on or on_, how, num_partitions)
-        left_ds, right_ds = lm, rm  # reuse the pinned blocks
-    return left_ds.join(
-        right_ds,
-        join_type=how,
-        num_partitions=num_partitions,
-        on=on_,
-        right_on=r_on,
-        right_suffix="_r",
-    )
-
-
-@ray.remote
-def _grouped_agg_merge(keys_, partial_cols, refs) -> pd.DataFrame:
-    """Reduce side of grouped_agg's task-based exchange: merge this
-    bucket's partial frames with one vectorized pandas groupby
-    (counts merge by SUM; min/max by themselves)."""
-    parts = ray.get(list(refs))
-    live = [p for p in parts if len(p.columns)]
-    if not live:
-        return pd.DataFrame()
-    g = pd.concat(live, ignore_index=True)
-    if g.empty:
-        return g
-    gb = g.groupby(list(keys_), sort=False, dropna=False)
-    out = {}
-    for col, op in partial_cols:
-        name = f"__{col}__{op}"
-        mop = "sum" if op in ("sum", "count") else op
-        out[name] = getattr(gb[name], mop)()
-    return pd.DataFrame(out).reset_index()
+    return _hash_join(left_ds, right_ds, on_, r_on, how, num_partitions)
 
 
 def grouped_agg(ds, keys: Union[str, list[str]], aggs: AggSpec,
-                strategy: str = "auto",
                 n_buckets: int = N_HASH_BUCKETS):
     """Pre-aggregated groupby. Output columns named ``{col}_{agg}``.
 
-    ``strategy``: ``"tasks"`` = merge the per-batch partials through the
-    task-based bucket exchange (split per partial block, one merge task
-    per bucket — no sort-shuffle orchestration); ``"ray"`` = Ray's
-    ``groupby().aggregate`` streaming shuffle; ``"auto"`` (default) =
-    tasks while blocks×buckets stays modest (same M·B gate as
-    ``shuffle_join``)."""
+    Each batch reduces to pandas partials (sum/count/min/max), and the
+    partials merge through one :func:`hash_exchange` over ``n_buckets``
+    buckets: one pandas groupby per bucket (counts merge by SUM,
+    min/max by themselves). The merge stays in pandas because
+    ``pd.concat`` unifies an int64 partial-key block with a float64
+    one, where Arrow concatenation would not."""
     keys_ = [keys] if isinstance(keys, str) else list(keys)
     # which partials each requested agg needs
     partial_cols: list[tuple[str, str]] = []  # (col, op) with op in sum/count/min/max
@@ -357,10 +390,10 @@ def grouped_agg(ds, keys: Union[str, list[str]], aggs: AggSpec,
                 partial_cols.append((col, op))
     partial_cols = sorted(set(partial_cols))
 
-    # Ray's sort-based groupby cannot order object keys that mix NaN
-    # (float) with strings — NULL groups in a string key crash the
-    # shuffle. Encode NA keys with a sentinel before the Ray groupby and
-    # decode after (SQL GROUP BY keeps NULL groups, so must we).
+    # NULL groups in object keys ride the exchange as a sentinel and
+    # decode after the merge (SQL GROUP BY keeps NULL groups, so must
+    # we): a NULL then hashes and groups alike in every partial block,
+    # whatever dtype pandas gave that block's key.
     _NULLK = "\x00__NULL__"
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -379,48 +412,28 @@ def grouped_agg(ds, keys: Union[str, list[str]], aggs: AggSpec,
                 )
         return res
 
-    partials = ds.map_batches(partial, batch_format="pandas")
-    merged = None
-    if strategy != "ray":
-        # explicit-batch_size rebatch: Ray synthesizes ZERO-COLUMN empty
-        # blocks (repartition/filter of small inputs) that skip map UDFs
-        # and would reach the split task schema-less — the batcher
-        # consumes blocks into batches, where empties vanish (same rule
-        # as shuffle_join's _rebatch)
-        refs = partials.map_batches(
-            lambda b: b, batch_format="pandas", batch_size=65536
-        ).materialize().to_pandas_refs()
-        if refs and (strategy == "tasks"
-                     or len(refs) * n_buckets <= 20_000):
-            splits = [
-                _pd_bucket_split.options(num_returns=n_buckets).remote(
-                    r, tuple(keys_), n_buckets)
-                for r in refs
-            ]
-            if n_buckets == 1:
-                splits = [[s] for s in splits]
-            merged = pd.concat(
-                ray.get([
-                    _grouped_agg_merge.remote(
-                        tuple(keys_), tuple(partial_cols),
-                        [s[i] for s in splits])
-                    for i in range(n_buckets)
-                ]),
-                ignore_index=True,
-            )
-    if merged is None:
-        ray_aggs = []
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        if g.empty:
+            return g
+        gb = g.groupby(keys_, sort=False, dropna=False)
+        out = {}
         for col, op in partial_cols:
-            pc_name = f"__{col}__{op}"
-            if op in ("sum", "count"):
-                ray_aggs.append(Sum(pc_name, alias_name=pc_name))
-            elif op == "min":
-                ray_aggs.append(Min(pc_name, alias_name=pc_name))
-            elif op == "max":
-                ray_aggs.append(Max(pc_name, alias_name=pc_name))
-        merged = partials.groupby(keys_).aggregate(*ray_aggs).to_pandas()
+            name = f"__{col}__{op}"
+            mop = "sum" if op in ("sum", "count") else op
+            out[name] = getattr(gb[name], mop)()
+        return pd.DataFrame(out).reset_index()
+
+    # explicit batch_size: coalesces the partials into few blocks
+    refs = ds.map_batches(partial, batch_format="pandas").map_batches(
+        lambda b: b, batch_format="pandas", batch_size=65536
+    ).materialize().to_pandas_refs()
+    merged = pd.concat(
+        ray.get(hash_exchange([(refs, keys_, pd.DataFrame())],
+                              n_buckets, merge)),
+        ignore_index=True,
+    )
     if merged.empty and not all(k in merged.columns for k in keys_):
-        # an all-empty input loses its schema through Ray's Aggregate;
+        # an all-empty input has no partial columns to merge;
         # reconstruct the output columns (float64 — callers cast)
         cols = keys_ + [
             f"{col}_{op}" for col, ops in aggs.items() for op in ops
@@ -535,117 +548,32 @@ def local_global_topk(
 def _add_hash_bucket(key_cols: list[str], n_buckets: int):
     def add(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()
-        h = pd.util.hash_pandas_object(batch[key_cols], index=False).to_numpy()
-        batch["__bucket"] = (h % n_buckets).astype("int64")
+        batch["__bucket"] = hash_buckets(batch[key_cols], n_buckets)
         return batch
 
     return add
 
 
-@ray.remote
-def _pd_bucket_split(df: pd.DataFrame, key_cols, n_buckets: int):
-    """Map side of the task-based bucket exchange for PANDAS blocks:
-    one block → n_buckets key-hash slices (same hash rule as
-    ``_add_hash_bucket``; slices keep the block's columns/dtypes, so an
-    empty slice still carries schema). Synthesized empty blocks can
-    arrive schema-less (zero columns / missing keys) — they fan out as
-    empty slices, matching the old groupby path where the UDF was
-    simply never called for them."""
-    if not len(df) or any(c not in df.columns for c in key_cols):
-        empty = df.iloc[0:0]
-        out = tuple(empty for _ in range(n_buckets))
-        return out if n_buckets > 1 else out[0]
-    h = pd.util.hash_pandas_object(
-        df[list(key_cols)], index=False).to_numpy()
-    b = (h % np.uint64(n_buckets)).astype(np.int64)
-    out = tuple(df.iloc[np.flatnonzero(b == i)] for i in range(n_buckets))
-    return out if n_buckets > 1 else out[0]
-
-
-@ray.remote
-def _bucket_apply_task(bucket_fn, refs) -> pd.DataFrame:
-    """Reduce side: fetch this bucket's slices from every map block,
-    concat, run the vectorized bucket body once. An empty bucket still
-    calls ``bucket_fn`` on a schema-correct empty frame (every
-    bucket_fn in this module returns an empty output frame for empty
-    input), so the output block set has a consistent schema."""
-    parts = ray.get(list(refs))
-    live = [p for p in parts if len(p.columns)]
-    if not live:  # every slice came from schema-less empties
-        return pd.DataFrame()
-    g = pd.concat(live, ignore_index=True)
-    if g.empty:
-        # the old groupby path never called the fn for missing buckets;
-        # most bucket_fns return a schema-correct empty frame for empty
-        # input (keeps block schemas consistent), but index-arithmetic
-        # bodies may not — degrade to Ray's native zero-column empty
-        # block shape then
-        try:
-            return bucket_fn(g)
-        except Exception:
-            return pd.DataFrame()
-    return bucket_fn(g)
-
-
 def bucketed_group_apply(ds, key_cols: Union[str, list[str]], bucket_fn,
-                         n_buckets: int = N_HASH_BUCKETS,
-                         strategy: str = "ray"):
+                         n_buckets: int = N_HASH_BUCKETS):
     """Group-wise apply WITHOUT the per-distinct-key Python-callback trap:
-    rows shuffle on hash(key) % n_buckets (every row of a key lands in one
+    rows shuffle on :func:`hash_buckets` (every row of a key lands in one
     bucket), and ``bucket_fn`` runs once per BUCKET — bounded at n_buckets
     calls total — with a fully vectorized pandas body over all keys in the
     bucket. A plain ``groupby(key).map_groups`` costs ~1 ms of interpreter
     overhead per DISTINCT KEY (measured in canonicalize.py) and collapses
     when distinct keys ≈ corpus size.
 
-    ``strategy``: ``"ray"`` (default) = the
-    ``groupby("__bucket").map_groups`` sort shuffle — it groups on only
-    n_buckets keys, streams Arrow blocks, and WINS on large row sets
-    (A/B on the sf0.1 triangle census: 0.7–0.8 s vs 1.2–1.7 s through
-    the task path, whose materialize barrier + pandas block shipping
-    scale with input size). ``"tasks"`` / ``"auto"`` = the task-based
-    bucket exchange (map-side split per block, one reduce task per
-    bucket) — the right engine when the INPUT is a small
-    key-cardinality-sized partial table; ``grouped_agg`` defaults to it
-    for exactly that shape (its 147k-group partial merge measured 0.3 s
-    vs ~70 s through Ray's sort-based Aggregate). ``auto`` falls back
-    to ray past blocks×buckets > 20k map-side objects."""
-    import ray.data as rd
-
+    The shuffle is Ray's ``groupby("__bucket").map_groups``: it groups on
+    only n_buckets keys and streams Arrow blocks, and on row-scale input
+    it measured faster than a task exchange (sf0.1 triangle census:
+    0.7–0.8 s vs 1.2–1.7 s, whose materialize barrier and pandas block
+    shipping scale with input size)."""
     key_cols_ = [key_cols] if isinstance(key_cols, str) else list(key_cols)
-    if strategy != "ray":
-        # explicit batch_size coalesces upstream micro-blocks (filtered /
-        # piped inputs arrive as many tiny blocks and each pays per-block
-        # overhead — measured 57.5 s → 3 s on the sf0.1 triangle census
-        # before the graph-side coalesce). Inputs here are narrow by
-        # design (keys + small payloads), so 64k rows is a few MB/batch.
-        m = ds.map_batches(
-            lambda b: b, batch_format="pandas", batch_size=65536
-        ).materialize()
-        refs = m.to_pandas_refs()
-        if refs and (strategy == "tasks"
-                     or len(refs) * n_buckets <= 20_000):
-            splits = [
-                _pd_bucket_split.options(num_returns=n_buckets).remote(
-                    r, tuple(key_cols_), n_buckets)
-                for r in refs
-            ]
-            if n_buckets == 1:
-                splits = [[s] for s in splits]
-            out = [
-                _bucket_apply_task.remote(
-                    bucket_fn, [s[i] for s in splits])
-                for i in range(n_buckets)
-            ]
-            return rd.from_pandas_refs(out)
-        tagged = m.map_batches(
-            _add_hash_bucket(key_cols_, n_buckets), batch_format="pandas"
-        )
-    else:
-        tagged = ds.map_batches(
-            _add_hash_bucket(key_cols_, n_buckets), batch_format="pandas",
-            batch_size=65536,
-        )
+    tagged = ds.map_batches(
+        _add_hash_bucket(key_cols_, n_buckets), batch_format="pandas",
+        batch_size=65536,
+    )
     return tagged.groupby("__bucket").map_groups(
         lambda g: bucket_fn(g.drop(columns="__bucket")), batch_format="pandas"
     )
@@ -1490,54 +1418,26 @@ def skew_join(
 
 def shuffle_semi_join(left_ds, right_ds, on, right_on=None,
                       anti: bool = False,
-                      num_partitions: Optional[int] = None,
-                      strategy: str = "auto"):
+                      num_partitions: Optional[int] = None):
     """Large-large EXISTS / NOT EXISTS: keep left rows with (semi) or
     without (anti) a key match on the right, via a hash-partitioned
     left_semi/left_anti join — BOTH sides shuffle, so the right side may
     be arbitrarily large (the broadcast :func:`semi_join` collects its
-    key set; this one never does). Same empty-block re-batching guard
-    and ``strategy`` exchange dispatch as :func:`shuffle_join`. Output
-    columns = left columns only."""
+    key set; this one never does). Same exchange as
+    :func:`shuffle_join`. Output columns = left columns only."""
     on_ = (on,) if isinstance(on, str) else tuple(on)
     r_on = (
-        None if right_on is None
+        on_ if right_on is None
         else (right_on,) if isinstance(right_on, str) else tuple(right_on)
     )
-    if num_partitions is None:
-        try:
-            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            num_partitions = 8
     # only the right KEYS decide membership and the output is left
     # columns only — never ship right payload bytes through the shuffle
     try:
-        right_ds = right_ds.select_columns(list(r_on or on_))
+        right_ds = right_ds.select_columns(list(r_on))
     except Exception:
         pass  # schema-less side: planner guards handle emptiness
-    left_ds = left_ds.map_batches(
-        _rebatch, batch_format="pyarrow", batch_size=65536
-    )
-    right_ds = right_ds.map_batches(
-        _rebatch, batch_format="pyarrow", batch_size=65536
-    )
-    if strategy != "ray":
-        lm, rm = left_ds.materialize(), right_ds.materialize()
-        n_blocks = lm.num_blocks() + rm.num_blocks()
-        if (lm.num_blocks() > 0 and rm.num_blocks() > 0
-                and (strategy == "bucket"
-                     or n_blocks * num_partitions <= 20_000)):
-            return _bucket_shuffle_join(
-                lm, rm, on_, r_on or on_,
-                "left_anti" if anti else "left_semi", num_partitions)
-        left_ds, right_ds = lm, rm
-    return left_ds.join(
-        right_ds,
-        join_type="left_anti" if anti else "left_semi",
-        num_partitions=num_partitions,
-        on=on_,
-        right_on=r_on,
-    )
+    return _hash_join(left_ds, right_ds, on_, r_on,
+                      "left_anti" if anti else "left_semi", num_partitions)
 
 
 def bloom_semi_join(

@@ -316,7 +316,7 @@ def kmeans(
     # (spill-managed); every pass is then a plain round of Ray tasks over
     # the same refs — per-pass overhead drops from seconds to milliseconds.
     # Same pattern as canonicalize's explicit reduce tasks.
-    refs = emb_ds.to_arrow_refs()
+    refs = emb_ds.materialize().to_arrow_refs()
     sample = _det_sample_refs(refs, sample_size, id_col, emb_col)
     if len(sample) == 0:
         return {

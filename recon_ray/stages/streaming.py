@@ -27,12 +27,14 @@ Semantics (the Flink/Beam event-time model):
   (`q_events_stream_tumbling_6h`); late-drop behavior is pinned by
   handcrafted out-of-order streams in tests/test_streaming.py.
 
-Scale shape: the driver never touches event data — blocks split into
-per-partition sub-tables in a remote task (``num_returns=P``) and the
-sub-table REFS route to actors in submission order (Ray actors
-execute a caller's tasks in submission order, so the ordered feed
-survives the async pipeline). Emitted windows stay in the object
-store (``from_arrow_refs``).
+Scale shape: the driver never touches event data — each Arrow block
+splits into per-partition sub-tables in the hash exchange's split task
+(``functions/relational.py:split_blocks``, the same bucket rule as the
+joins and ``grouped_agg``; per-window rankings split by window id
+instead) and the sub-table REFS route to actors in submission order
+(Ray actors execute a caller's tasks in submission order, so the
+ordered feed survives the async pipeline). Emitted windows stay in the
+object store (``from_arrow_refs``).
 
 Cross-batch state in every actor is COLUMNAR (pandas frames / numpy
 register matrices), and each ingest folds the batch in with one
@@ -55,6 +57,9 @@ import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
+
+from recon_ray.functions.relational import (bucket_slices, hash_buckets,
+                                            split_blocks)
 
 
 def _dur_us(spec: str) -> int:
@@ -118,10 +123,13 @@ def _feed_refs(ds, sort_col: str, ordered: bool):
     construction). ``ordered=False`` → STREAM the execution's ref
     bundles as they are produced — no sort, no materialization of the
     source; this is the production path, where backpressure and block
-    pipelining stay intact."""
+    pipelining stay intact. Either way the blocks are Arrow: a pandas
+    block (a ``from_pandas`` source) converts in a whole-block map."""
     if ordered:
         return ds.sort(sort_col).materialize().to_arrow_refs()
-    return iter_block_refs(ds)
+    return iter_block_refs(ds.map_batches(
+        lambda t: t, batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True))
 
 
 def _emit_schema(key_cols: list[str], key_types=None) -> pa.Schema:
@@ -269,34 +277,6 @@ class WindowStateActor:
                 "open_now": 0 if self.state is None else len(self.state)}
 
 
-@ray.remote
-def _split_by_key(tbl: pa.Table, key_cols, n_parts: int):
-    """Hash-split one block by key so every key lands on ONE actor
-    (the same dtype-normalized hash as the bucket join exchange)."""
-    if isinstance(tbl, pd.DataFrame):
-        # streaming feed hands over RAW blocks; a pandas-block source
-        # (from_pandas) normalizes to Arrow here, inside the task
-        tbl = pa.Table.from_pandas(tbl, preserve_index=False)
-    if tbl.num_rows == 0:
-        # Ray's sort synthesizes zero-column empty blocks on tiny
-        # inputs; the actors no-op on empty tables, so just fan the
-        # empty block out
-        out = tuple(tbl for _ in range(n_parts))
-        return out if n_parts > 1 else out[0]
-    df = tbl.select(list(key_cols)).to_pandas()
-    df.columns = range(len(df.columns))
-    for c in df.columns:
-        if isinstance(df[c].dtype, pd.CategoricalDtype):
-            df[c] = df[c].astype(object)
-        elif pd.api.types.is_bool_dtype(df[c]) or \
-                pd.api.types.is_numeric_dtype(df[c]):
-            df[c] = pd.to_numeric(df[c]).astype("float64")
-    h = pd.util.hash_pandas_object(df, index=False).to_numpy()
-    b = (h % np.uint64(n_parts)).astype(np.int64)
-    out = tuple(tbl.take(np.flatnonzero(b == i)) for i in range(n_parts))
-    return out if n_parts > 1 else out[0]
-
-
 def stream_tumbling_agg(
     ds,
     *,
@@ -335,11 +315,7 @@ def stream_tumbling_agg(
     ]
     emitted = []
     for blk in _feed_refs(ds, ts_col, ordered):
-        subs = _split_by_key.options(
-            num_returns=n_partitions if n_partitions > 1 else 1
-        ).remote(blk, tuple(key_cols), n_partitions)
-        if n_partitions == 1:
-            subs = [subs]
+        subs = split_blocks([blk], key_cols, n_partitions)
         for i in range(n_partitions):
             emitted.append(actors[i].ingest.remote(subs[i]))
     emitted.extend(a.flush.remote() for a in actors)
@@ -511,11 +487,7 @@ def stream_session_windows(
     ]
     emitted = []
     for blk in _feed_refs(ds, ts_col, ordered):
-        subs = _split_by_key.options(
-            num_returns=n_partitions if n_partitions > 1 else 1
-        ).remote(blk, (key_col,), n_partitions)
-        if n_partitions == 1:
-            subs = [subs]
+        subs = split_blocks([blk], (key_col,), n_partitions)
         for i in range(n_partitions):
             emitted.append(actors[i].ingest.remote(subs[i]))
     emitted.extend(a.flush.remote() for a in actors)
@@ -790,11 +762,7 @@ def stream_distinct_agg(
     ]
     emitted = []
     for blk in _feed_refs(ds, ts_col, ordered):
-        subs = _split_by_key.options(
-            num_returns=n_partitions if n_partitions > 1 else 1
-        ).remote(blk, tuple(key_cols), n_partitions)
-        if n_partitions == 1:
-            subs = [subs]
+        subs = split_blocks([blk], key_cols, n_partitions)
         for i in range(n_partitions):
             emitted.append(actors[i].ingest.remote(subs[i]))
     emitted.extend(a.flush.remote() for a in actors)
@@ -812,18 +780,13 @@ def _split_by_window(tbl: pa.Table, ts_col: str, w_us: int,
     """Hash-split one block by WINDOW assignment (floor(ts/w)) — for
     per-window rankings every row of a window must land on one actor
     (keys alone won't do: ranking is global within the window)."""
-    if isinstance(tbl, pd.DataFrame):
-        tbl = pa.Table.from_pandas(tbl, preserve_index=False)
     if tbl.num_rows == 0:
-        out = tuple(tbl for _ in range(n_parts))
-        return out if n_parts > 1 else out[0]
-    ts = (tbl.column(ts_col).to_pandas()
-          .astype("datetime64[us]").astype("int64").to_numpy())
-    win = (ts // w_us) * w_us
-    h = pd.util.hash_pandas_object(
-        pd.Series(win), index=False).to_numpy()
-    b = (h % np.uint64(n_parts)).astype(np.int64)
-    out = tuple(tbl.take(np.flatnonzero(b == i)) for i in range(n_parts))
+        out = (tbl,) * n_parts
+    else:
+        ts = (tbl.column(ts_col).to_pandas()
+              .astype("datetime64[us]").astype("int64").to_numpy())
+        win = pd.DataFrame({"w": (ts // w_us) * w_us})
+        out = bucket_slices(tbl, hash_buckets(win, n_parts), n_parts)
     return out if n_parts > 1 else out[0]
 
 
@@ -1001,9 +964,8 @@ def stream_topk_agg(
     ]
     emitted = []
     for blk in _feed_refs(ds, ts_col, ordered):
-        subs = _split_by_window.options(
-            num_returns=n_partitions if n_partitions > 1 else 1
-        ).remote(blk, ts_col, w_us, n_partitions)
+        subs = _split_by_window.options(num_returns=n_partitions).remote(
+            blk, ts_col, w_us, n_partitions)
         if n_partitions == 1:
             subs = [subs]
         for i in range(n_partitions):
@@ -1248,14 +1210,8 @@ def stream_interval_join(
     for lb, rb in zip_longest(lrefs, rrefs, fillvalue=None):
         lb = lb if lb is not None else ray.put(empty)
         rb = rb if rb is not None else ray.put(empty)
-        lsub = _split_by_key.options(
-            num_returns=n_partitions if n_partitions > 1 else 1
-        ).remote(lb, ("__k",), n_partitions)
-        rsub = _split_by_key.options(
-            num_returns=n_partitions if n_partitions > 1 else 1
-        ).remote(rb, ("__k",), n_partitions)
-        if n_partitions == 1:
-            lsub, rsub = [lsub], [rsub]
+        lsub = split_blocks([lb], ("__k",), n_partitions)
+        rsub = split_blocks([rb], ("__k",), n_partitions)
         for i in range(n_partitions):
             emitted.append(actors[i].ingest.remote(lsub[i], rsub[i]))
     stats = ray.get([a.stats.remote() for a in actors])

@@ -211,3 +211,23 @@ def test_auc_matches_bruteforce_pairs(ray_session):
         assert r["auc"] == want, parts
     r0 = auc_score(rd.from_pandas(df[df.y == 1]), "s", "y")
     assert np.isnan(r0["auc"])  # degenerate: one class only
+
+
+def test_pca_runs_a_lazy_plan_once(tmp_path):
+    """fit_pca runs its input plan once: each of the 4 blocks calls the
+    upstream UDF once (a lazy ``to_arrow_refs()`` runs the plan a
+    second time for the schema, 8 calls)."""
+    from recon_ray.functions.ml import fit_pca
+
+    log = tmp_path / "calls"
+
+    def counted(batch):
+        with open(log, "a") as f:
+            f.write("x\n")
+        return batch
+
+    df = _fixture(n=200, d=6, seed=14)
+    ds = rd.from_pandas(df).repartition(4).map_batches(
+        counted, batch_format="pandas", batch_size=None)
+    assert fit_pca(ds, n_components=2)["n"] == 200
+    assert len(log.read_text().splitlines()) == 4

@@ -9,6 +9,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 from hypothesis import given, settings, strategies as st
 
@@ -1031,29 +1032,76 @@ def test_weighted_bernoulli_sample_properties(ray_session):
                      "full_outer"]),
     st.integers(min_value=1, max_value=3),
 )
-def test_bucket_join_matches_ray_join(lrows, rrows, how, parts):
-    """The task-based bucket exchange (strategy='bucket') must return
-    the same multiset of rows as Ray's Dataset.join (strategy='ray')
-    for every join type, including dup keys, empty sides, and NULL-free
-    random layouts."""
+def test_bucket_join_matches_whole_input_join(lrows, rrows, how, parts):
+    """The hash exchange must return the same multiset of rows as one
+    Acero join over the whole input for every join type, including dup
+    keys and NULL-free random layouts."""
     from recon_ray.functions.relational import shuffle_join
 
     ldf = pd.DataFrame(lrows, columns=["k", "v"])
     rdf = pd.DataFrame(rrows, columns=["rk", "s"])
     if not len(ldf) or not len(rdf):
-        return  # planner resolves empty sides before shuffle_join
+        return  # empty sides: test_hash_join_with_an_empty_side
     # nullable keys: one side int64, the other Int64-with-NULLs (which
     # pandas renders float64) — the bucket hash must be dtype-blind
     rdf["rk"] = pd.Series(
         [None if v == 6 else v for v in rdf["rk"]], dtype="Int64")
-    lds = rd.from_pandas(ldf).repartition(parts)
-    rds = rd.from_pandas(rdf).repartition(parts)
-    outs = []
-    for strat in ("bucket", "ray"):
-        j = shuffle_join(lds, rds, on="k", right_on="rk", how=how,
-                         num_partitions=4, strategy=strat)
-        g = j.to_pandas()
+
+    def norm(g):
         g = g.reindex(sorted(g.columns), axis=1)
-        g = g.sort_values(list(g.columns)).reset_index(drop=True)
-        outs.append(g)
-    pd.testing.assert_frame_equal(outs[0], outs[1], check_dtype=False)
+        return g.sort_values(list(g.columns)).reset_index(drop=True)
+
+    got = shuffle_join(rd.from_pandas(ldf).repartition(parts),
+                       rd.from_pandas(rdf).repartition(parts),
+                       on="k", right_on="rk", how=how, num_partitions=4)
+    want = pa.Table.from_pandas(ldf, preserve_index=False).join(
+        pa.Table.from_pandas(rdf, preserve_index=False), keys="k",
+        right_keys="rk", join_type=how.replace("_", " "),
+        right_suffix="_r")
+    got, want = got.to_pandas(), want.to_pandas()
+    assert len(got) == len(want)
+    if len(want):  # Ray hands back an all-empty result without columns
+        pd.testing.assert_frame_equal(norm(got), norm(want),
+                                      check_dtype=False)
+
+
+@pytest.mark.parametrize("how", ["inner", "left_outer", "right_outer",
+                                 "full_outer", "semi", "anti"])
+def test_hash_join_with_an_empty_side(how):
+    """A 0-row side (one zero-column block after the join's rebatch)
+    joins as an empty table of its schema; results equal pandas."""
+    from recon_ray.functions.relational import (shuffle_join,
+                                                shuffle_semi_join)
+
+    left = pd.DataFrame({"k": [1, 2, 3], "v": [10, 20, 30]})
+    empty = pd.DataFrame({"k": pd.Series([], dtype="int64"),
+                          "s": pd.Series([], dtype=object)})
+    lds, eds = rd.from_pandas(left), rd.from_pandas(empty)
+    if how in ("semi", "anti"):
+        match = left["k"].isin(empty["k"])
+        runs = [(shuffle_semi_join(lds, eds, on="k", anti=how == "anti"),
+                 left[~match if how == "anti" else match])]
+    else:
+        pd_how = {"inner": "inner", "left_outer": "left",
+                  "right_outer": "right", "full_outer": "outer"}[how]
+        runs = [(shuffle_join(lds, eds, on="k", how=how),
+                 left.merge(empty, on="k", how=pd_how)),
+                (shuffle_join(eds, lds, on="k", how=how),
+                 empty.merge(left, on="k", how=pd_how))]
+    for got, w in runs:
+        got = got.to_pandas()
+        assert len(got) == len(w)
+        if len(w):
+            cols = sorted(w.columns)
+            pd.testing.assert_frame_equal(
+                got[cols].sort_values("k").reset_index(drop=True),
+                w[cols].sort_values("k").reset_index(drop=True),
+                check_dtype=False)
+
+
+def test_hash_join_rejects_unknown_join_type():
+    from recon_ray.functions.relational import shuffle_join
+
+    ds = rd.from_pandas(pd.DataFrame({"k": [1]}))
+    with pytest.raises(ValueError, match="unsupported join type"):
+        shuffle_join(ds, ds, on="k", how="cross")

@@ -58,14 +58,9 @@ def test_bad_buckets():
         deterministic_shuffle(ds, "doc_id", n_buckets=100)
 
 
-def test_bucketed_group_apply_strategies_agree(ray_session):
-    """The task-based bucket exchange (strategy='tasks') and the Ray
-    groupby path (strategy='ray') produce identical grouped results,
-    including NULL keys and n_buckets=1."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
+def test_bucketed_group_apply_matches_pandas(ray_session):
+    """bucketed_group_apply equals the bucket body run on the whole
+    input in process, including NULL keys and n_buckets=1."""
     from recon_ray.functions.relational import bucketed_group_apply
 
     rng = np.random.RandomState(3)
@@ -79,25 +74,23 @@ def test_bucketed_group_apply_strategies_agree(ray_session):
         return (g.groupby("k", dropna=False, sort=False)["v"]
                 .sum().rename("s").reset_index())
 
-    outs = {}
-    for strat, nb in (("tasks", 8), ("ray", 8), ("tasks", 1)):
-        o = bucketed_group_apply(
+    def norm(o):
+        return (o.sort_values("k", na_position="last")
+                .reset_index(drop=True))
+
+    want = norm(fn(df))
+    for nb in (8, 1):
+        got = bucketed_group_apply(
             rd.from_pandas(df).repartition(4), "k", fn,
-            n_buckets=nb, strategy=strat).to_pandas()
-        outs[(strat, nb)] = (o.sort_values("k", na_position="last")
-                             .reset_index(drop=True))
-    base = outs[("ray", 8)]
-    for key, o in outs.items():
-        pd.testing.assert_frame_equal(o, base, check_like=True)
+            n_buckets=nb).to_pandas()
+        pd.testing.assert_frame_equal(norm(got), want, check_like=True)
 
 
-def test_grouped_agg_strategies_agree(ray_session):
-    """grouped_agg through the task exchange equals the Ray Aggregate
-    path bit-for-bit (sum/count/min/max/mean, NULL string keys)."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
+def test_grouped_agg_matches_pandas(ray_session, monkeypatch):
+    """grouped_agg equals a pandas groupby over the whole input
+    (sum/count/min/max/mean, NULL string keys), also when the exchange
+    coalesces its input blocks to stay under its object-count bound."""
+    from recon_ray.functions import relational
     from recon_ray.functions.relational import grouped_agg
 
     rng = np.random.RandomState(5)
@@ -106,12 +99,51 @@ def test_grouped_agg_strategies_agree(ray_session):
                        dtype="object"),
         "v": rng.uniform(-5, 5, 400),
     })
-    a = grouped_agg(rd.from_pandas(df).repartition(3), "k",
-                    {"v": ["sum", "count", "min", "max", "mean"]},
-                    strategy="tasks")
-    b = grouped_agg(rd.from_pandas(df).repartition(3), "k",
-                    {"v": ["sum", "count", "min", "max", "mean"]},
-                    strategy="ray")
-    key = lambda o: (o.assign(k=o["k"].fillna("\x7f"))  # noqa: E731
-                     .sort_values("k").reset_index(drop=True))
-    pd.testing.assert_frame_equal(key(a), key(b), check_like=True)
+    ops = ["sum", "count", "min", "max", "mean"]
+    want = (df.groupby("k", dropna=False)["v"].agg(ops)
+            .add_prefix("v_").reset_index())
+
+    def key(o):
+        return (o.assign(k=o["k"].fillna("\x7f"))
+                .sort_values("k").reset_index(drop=True))
+
+    got = grouped_agg(rd.from_pandas(df).repartition(3), "k", {"v": ops})
+    pd.testing.assert_frame_equal(key(got), key(want), check_like=True,
+                                  check_dtype=False)
+    # 3 blocks x 8 buckets past a bound of 4: one split task takes all
+    monkeypatch.setattr(relational, "MAX_EXCHANGE_OBJECTS", 4)
+    got = grouped_agg(rd.from_pandas(df).repartition(3), "k", {"v": ops},
+                      n_buckets=8)
+    pd.testing.assert_frame_equal(key(got), key(want), check_like=True,
+                                  check_dtype=False)
+
+
+def test_exchange_hashes_int_and_float_keys_alike(ray_session):
+    """Two Arrow blocks hold the same int64 keys and one also a NULL,
+    so pandas reads that block's key as float64: each key must still
+    reach ONE bucket (grouped_agg / distinct) and ONE streaming actor."""
+    import pyarrow as pa
+
+    from recon_ray.functions.relational import distinct, grouped_agg
+    from recon_ray.stages.streaming import stream_tumbling_agg
+
+    n = 70_000
+    a = pa.table({"k": pa.array(list(range(n)) + [None], pa.int64()),
+                  "v": pa.array(np.ones(n + 1))})
+    b = pa.table({"k": pa.array(np.arange(n), pa.int64()),
+                  "v": pa.array(np.ones(n))})
+    ds = rd.from_arrow([a, b])
+    g = grouped_agg(ds, "k", {"v": ["sum"]})
+    assert len(g) == n + 1
+    assert g["v_sum"].sum() == 2 * n + 1
+    assert distinct(ds, "k").count() == n + 1
+
+    ts = pa.array(np.zeros(n + 1, "datetime64[us]"))
+    out = stream_tumbling_agg(
+        rd.from_arrow([a.append_column("ts", ts),
+                       b.append_column("ts", ts.slice(0, n))]),
+        key_cols=("k",), value_col="v", window="1h", lateness="1h",
+        n_partitions=4, ordered=False)["result"].to_pandas()
+    # a key split across actors would emit its window twice
+    assert len(out) == n and out["k"].is_unique
+    assert (out["n_events"] == 2).all()

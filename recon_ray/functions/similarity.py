@@ -315,7 +315,7 @@ def kmeans(
     # decode per pass. Blocks live in the object store across iterations
     # (spill-managed); every pass is then a plain round of Ray tasks over
     # the same refs — per-pass overhead drops from seconds to milliseconds.
-    # Same pattern as canonicalize's explicit reduce tasks.
+    # Same pattern as the tasks of functions/relational.py:exchange.
     refs = emb_ds.materialize().to_arrow_refs()
     sample = _det_sample_refs(refs, sample_size, id_col, emb_col)
     if len(sample) == 0:

@@ -12,9 +12,10 @@
       → triple linking against that dictionary     [elastic tasks; the dict
           (or a caller-given one)                    is fetched once per
                                                     worker process]
-      → canonicalize (combiner → small-partials    [range-partitioned
-          barrier → key-range merge, each range      reduce tasks; output
-          sorted by (subj, pred, obj))               sorted, no sort stage]
+      → canonicalize (combiner → small-partials    [the shared exchange
+          barrier → range split → key-range merge,   under a range rule;
+          each range sorted by (subj, pred, obj))    output sorted, no
+                                                     sort stage]
     plus the exploded mentions table for stats/insights.
 
 ``run_kg`` executes detection, the symbol build, linking and the
@@ -37,6 +38,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from recon_ray.functions.relational import cluster_cpus
 from recon_ray.ops import LineageTracker, pipe
 from recon_ray.ops.spans import CORRECTION_CHAIN
 from recon_ray.stages.canonicalize import canonicalize
@@ -53,13 +55,6 @@ DEFAULT_BATCH_SIZE = 128
 def _empty_symbols() -> pa.Table:
     return pa.table({c: pa.array([], pa.string())
                      for c in ("repo", "module", "name")})
-
-
-def _cluster_cpus() -> int:
-    try:
-        return int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        return 8
 
 
 def read_files(input_path: str, parallelism: Optional[int] = None):
@@ -209,7 +204,7 @@ def run_kg(
     # workers). At 96 blocks/32 cpus the extract stage ran 3 task waves
     # with a straggler tail (14.7 s max vs 9.0 s mean task — oversized-file
     # skew); smaller tasks even the last wave for ~2% per-task overhead.
-    files = read_files(input_path, parallelism=max(6 * _cluster_cpus(), 64))
+    files = read_files(input_path, parallelism=max(6 * cluster_cpus(), 64))
     # the regex detector's only state is module-level compiled patterns,
     # so it runs as elastic stateless tasks
     docs = files.map_batches(

@@ -9,11 +9,13 @@ analogue of the reference's content-addressed ``ExampleStore`` dedup
    the explicit salted path for combiner-less aggs lives in
    recon_ray/functions/relational.py:salted_group_count);
 2. **range-partitioned merge**: key boundaries are sampled from the
-   partial blocks, and one reduce task per key range merges its slice of
-   every block with ONLY built-in vectorized aggregates (Sum + Min) — a
-   per-group Python callback (map_groups) costs ~1 ms per group and
-   collapses at 10^5+ distinct triples, so provenance is packed into a
-   single \\x00-separated string whose lexicographic Min equals the
+   partial blocks, and the shared exchange
+   (``functions/relational.py:exchange``) splits every partial block
+   ONCE by a range rule; one reduce task per key range merges its slices
+   with ONLY built-in vectorized aggregates (Sum + Min) — a per-group
+   Python callback (map_groups) costs ~1 ms per group and collapses at
+   10^5+ distinct triples, so provenance is packed into a single
+   \\x00-separated string whose lexicographic Min equals the
    (repo, path) tuple-min the sequential oracle computes;
 3. each reduce task **sorts** its range by the key columns, so the
    ranges in order are the graph's storage order, (subj, pred, obj).
@@ -21,9 +23,14 @@ analogue of the reference's content-addressed ``ExampleStore`` dedup
 
 from __future__ import annotations
 
+from functools import partial
+
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+
+from recon_ray.functions.relational import cluster_cpus, exchange
 
 KEY_COLS = ["subj", "pred", "obj", "subj_type", "obj_type"]
 PROV_COLS = ["repo", "path", "commit", "content_sha256", "extractor"]
@@ -42,17 +49,24 @@ def _pack(batch: pa.Table, cols: list[str]) -> pa.ChunkedArray:
 
 def partial_canonicalize(batch: pa.Table) -> pa.Table:
     """Per-batch combiner: dedup + count + min-provenance (all Arrow)."""
-    t = pa.table(
-        {
-            **{c: batch.column(c) for c in KEY_COLS},
-            "prov": _pack(batch, PROV_COLS),
-            "n_mentions": batch.column("n_mentions")
-            if "n_mentions" in batch.column_names
-            else pa.array([1] * batch.num_rows, pa.int64()),
-        }
-    )
+    return _group(pa.table({
+        **{c: batch.column(c) for c in KEY_COLS},
+        "prov": _pack(batch, PROV_COLS),
+        "n_mentions": batch.column("n_mentions")
+        if "n_mentions" in batch.column_names
+        else pa.array([1] * batch.num_rows, pa.int64()),
+    }))
+
+
+def _group(t: pa.Table) -> pa.Table:
+    """One row per distinct key: summed counts, min packed provenance."""
     g = t.group_by(KEY_COLS).aggregate([("n_mentions", "sum"), ("prov", "min")])
     return g.rename_columns(KEY_COLS + ["n_mentions", "prov"])
+
+
+#: the 0-row partial block, which a key range with no rows merges
+_EMPTY_PARTIAL = partial_canonicalize(
+    pa.table({c: pa.array([], pa.string()) for c in KEY_COLS + PROV_COLS}))
 
 
 def _unpack(batch: pa.Table) -> pa.Table:
@@ -65,9 +79,11 @@ def _unpack(batch: pa.Table) -> pa.Table:
 
 
 #: cap on the reduce tasks, one per key range (the count is
-#: max(8, min(MAX_REDUCERS, cluster CPUs))). 256, not 64: at 96k files a
-#: 64-way merge showed 3.5× skew between the hottest and the mean reduce
-#: task (2.9 s vs 0.8 s); more tasks even the reduce wave
+#: min(MAX_REDUCERS, cluster CPUs): one reduce wave, since each task reads
+#: only its own range's slices). 256, not 64: at 96k files a 64-way merge
+#: showed 3.5× skew between the hottest and the mean reduce task (2.9 s
+#: vs 0.8 s); more tasks even the reduce wave. At 4 CPUs, 4 ranges merged
+#: 1000 files' partials in 67 ms against 93 ms for 8 (two waves)
 MAX_REDUCERS = 256
 
 #: partial blocks fetched to the driver for the key-boundary sample
@@ -75,62 +91,41 @@ SAMPLE_BLOCKS = 8
 
 
 def _as_table(b) -> pa.Table | None:
-    """A partial block as an Arrow table, or None when it holds no keys.
-    Empty upstream blocks can arrive schema-less (no columns at all) and
-    even as raw pandas frames (Ray's to_arrow_refs does not convert
-    zero-column pandas blocks)."""
-    if not isinstance(b, pa.Table):
-        import pandas as pd
-
-        if not isinstance(b, pd.DataFrame) or not len(b.columns):
-            return None
-        b = pa.Table.from_pandas(b, preserve_index=False)
-    if b.num_rows == 0 or KEY_COLS[0] not in b.column_names:
-        return None
-    return b
+    """A partial block, or None when it holds no keys. The combiner
+    emits Arrow; empty upstream blocks can arrive schema-less, even as
+    zero-column pandas frames (Ray's to_arrow_refs leaves those)."""
+    keyed = isinstance(b, pa.Table) and KEY_COLS[0] in b.column_names
+    return b if keyed and b.num_rows else None
 
 
-@ray.remote
-def _reduce_key_range(lo, hi, *blocks) -> pa.Table:
-    """Range-partitioned reduce: gather [lo, hi) of the PACKED key space
-    from every partial block, merge, sort locally, and unpack. The
-    concatenation of the range outputs is globally sorted, because
-    packed-key order refines (subj, pred, obj) order deterministically.
+def _merge_range(t: pa.Table) -> pa.Table:
+    """The reduce of one key range: merge its partial rows, sort them
+    and unpack. The concatenation of the range outputs is globally
+    sorted, because packed-key order refines (subj, pred, obj) order
+    deterministically.
 
     Unpacking happens HERE (not in a downstream map_batches): with the
     executor's default ``preserve_order=False`` a map stage after
     ``from_arrow_refs`` may emit blocks in completion order, silently
     breaking the global sort — the reduce output must already be the
     final table so the sorted Dataset is a pure block source."""
-    picked = []
-    for b in blocks:
-        b = _as_table(b)
-        if b is None:
-            continue
-        key = _pack(b, KEY_COLS)
-        mask = None
-        if lo is not None:
-            mask = pc.greater_equal(key, pa.scalar(lo))
-        if hi is not None:
-            m2 = pc.less(key, pa.scalar(hi))
-            mask = m2 if mask is None else pc.and_(mask, m2)
-        t = b if mask is None else b.filter(mask)
-        if t.num_rows:
-            picked.append(t.select(KEY_COLS + ["n_mentions", "prov"]))
-    if not picked:
-        return pa.table(
-            {
-                **{c: pa.array([], pa.string()) for c in KEY_COLS},
-                "n_mentions": pa.array([], pa.int64()),
-                **{c: pa.array([], pa.string()) for c in PROV_COLS},
-            }
-        )
-    t = pa.concat_tables(picked)
-    g = t.group_by(KEY_COLS).aggregate(
-        [("n_mentions", "sum"), ("prov", "min")]
-    )
-    g = g.rename_columns(KEY_COLS + ["n_mentions", "prov"])
-    return _unpack(g.sort_by([(c, "ascending") for c in KEY_COLS]))
+    return _unpack(_group(t).sort_by([(c, "ascending") for c in KEY_COLS]))
+
+
+def _range_buckets(bounds: pa.Array, keys: pa.Table, n_buckets: int):
+    """The range rule: a row's bucket is ``bisect_right(bounds, packed
+    key)``, so bucket i holds the packed keys in [bounds[i-1], bounds[i]).
+    One stable Arrow sort of ``bounds ++ keys`` puts each boundary before
+    the keys equal to it; the running count of boundaries, scattered back
+    to the keys' positions, is the bucket."""
+    nb = len(bounds)
+    allk = pa.chunked_array([bounds, *_pack(keys, keys.column_names).chunks],
+                            pa.string())
+    order = pc.sort_indices(allk).to_numpy()
+    is_key = order >= nb
+    out = np.empty(len(order) - nb, np.int64)
+    out[order[is_key] - nb] = np.cumsum(~is_key)[is_key]
+    return out
 
 
 def _key_boundaries(keys: pa.ChunkedArray, n_ranges: int) -> list[str]:
@@ -153,8 +148,6 @@ def _key_boundaries(keys: pa.ChunkedArray, n_ranges: int) -> list[str]:
 def _sample_key_boundaries(refs, n_ranges: int) -> list[str]:
     """Boundaries from at most SAMPLE_BLOCKS evenly spaced partial blocks
     (deterministic; balance only affects task sizing, never correctness)."""
-    import numpy as np
-
     if not refs:
         return []
     idx = sorted(set(np.linspace(0, len(refs) - 1,
@@ -174,9 +167,10 @@ def canonicalize(triples_ds, sort: bool = True):
 
     (1) per-batch combiner (one row per distinct key per batch — the skew
     absorber); (2) a materialize barrier on the partial blocks; (3) key
-    boundaries sampled from them; (4) one EXPLICIT reduce task per key
-    range, which filters its range out of every partial block, merges with
-    one vectorized Arrow group_by, sorts and unpacks. Ray's sort-based
+    boundaries sampled from them; (4) one :func:`exchange` under the range
+    rule: each partial block is split into its key ranges once, and one
+    reduce task per range merges with one vectorized Arrow group_by,
+    sorts and unpacks. Ray's sort-based
     groupby on the same partials measured 7–12 s of pure orchestration for
     <2 s of useful work at 10^6 partial rows, and its groupby/map_groups
     path took 656.6 s against this reduce's 10.5 s on 1066 partial blocks
@@ -195,19 +189,13 @@ def canonicalize(triples_ds, sort: bool = True):
     is next revised."""
     import ray.data as rd
 
-    partial = triples_ds.map_batches(
+    partials = triples_ds.map_batches(
         partial_canonicalize, batch_format="pyarrow", zero_copy_batch=True
     )
     # materialize first: on a lazy Dataset, to_arrow_refs() runs the plan
     # a second time to fetch the schema (Ray 2.49)
-    refs = partial.materialize().to_arrow_refs()
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    bounds = _sample_key_boundaries(refs, max(8, min(MAX_REDUCERS, cpus)))
-    edges = [None, *bounds, None]
-    return rd.from_arrow_refs([
-        _reduce_key_range.remote(edges[i], edges[i + 1], *refs)
-        for i in range(len(edges) - 1)
-    ])
+    refs = partials.materialize().to_arrow_refs()
+    bounds = _sample_key_boundaries(refs, min(MAX_REDUCERS, cluster_cpus()))
+    rule = partial(_range_buckets, pa.array(bounds, pa.string()))
+    return rd.from_arrow_refs(exchange(
+        [(refs, KEY_COLS, _EMPTY_PARTIAL)], len(bounds) + 1, _merge_range, rule))

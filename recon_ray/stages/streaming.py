@@ -28,10 +28,10 @@ Semantics (the Flink/Beam event-time model):
   handcrafted out-of-order streams in tests/test_streaming.py.
 
 Scale shape: the driver never touches event data — each Arrow block
-splits into per-partition sub-tables in the hash exchange's split task
-(``functions/relational.py:split_blocks``, the same bucket rule as the
-joins and ``grouped_agg``; per-window rankings split by window id
-instead) and the sub-table REFS route to actors in submission order
+splits into per-partition sub-tables in the exchange's split task
+(``functions/relational.py:split_blocks``, the same hash rule as the
+joins and ``grouped_agg``; per-window rankings pass a window-id rule)
+and the sub-table REFS route to actors in submission order
 (Ray actors execute a caller's tasks in submission order, so the
 ordered feed survives the async pipeline). Emitted windows stay in the
 object store (``from_arrow_refs``).
@@ -52,14 +52,15 @@ deterministic replay mode (global sort first) used for oracle parity.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
 
-from recon_ray.functions.relational import (bucket_slices, hash_buckets,
-                                            split_blocks)
+from recon_ray.functions.relational import hash_buckets, split_blocks
 
 
 def _dur_us(spec: str) -> int:
@@ -774,20 +775,13 @@ def stream_distinct_agg(
     }
 
 
-@ray.remote
-def _split_by_window(tbl: pa.Table, ts_col: str, w_us: int,
-                     n_parts: int):
-    """Hash-split one block by WINDOW assignment (floor(ts/w)) — for
-    per-window rankings every row of a window must land on one actor
-    (keys alone won't do: ranking is global within the window)."""
-    if tbl.num_rows == 0:
-        out = (tbl,) * n_parts
-    else:
-        ts = (tbl.column(ts_col).to_pandas()
-              .astype("datetime64[us]").astype("int64").to_numpy())
-        win = pd.DataFrame({"w": (ts // w_us) * w_us})
-        out = bucket_slices(tbl, hash_buckets(win, n_parts), n_parts)
-    return out if n_parts > 1 else out[0]
+def _window_buckets(w_us: int, ts: pa.Table, n_buckets: int) -> np.ndarray:
+    """Split rule by WINDOW assignment (floor(ts/w)) — for per-window
+    rankings every row of a window must land on one actor (keys alone
+    won't do: ranking is global within the window)."""
+    ts = (ts.column(0).to_pandas()
+          .astype("datetime64[us]").astype("int64").to_numpy())
+    return hash_buckets(pd.DataFrame({"w": (ts // w_us) * w_us}), n_buckets)
 
 
 @ray.remote
@@ -964,10 +958,8 @@ def stream_topk_agg(
     ]
     emitted = []
     for blk in _feed_refs(ds, ts_col, ordered):
-        subs = _split_by_window.options(num_returns=n_partitions).remote(
-            blk, ts_col, w_us, n_partitions)
-        if n_partitions == 1:
-            subs = [subs]
+        subs = split_blocks([blk], (ts_col,), n_partitions,
+                            partial(_window_buckets, w_us))
         for i in range(n_partitions):
             emitted.append(actors[i].ingest.remote(subs[i]))
     emitted.extend(a.flush.remote() for a in actors)

@@ -102,9 +102,10 @@ def test_symbol_dict_matches_reference(kg_result, gold_extraction):
 
 def test_canonicalize_over_1024_blocks(kg_result):
     """Past 1024 partial blocks (the old fallback threshold) the range
-    reduce still hands every block to every task: 1100 raw-triple slices
-    canonicalize to the identical sorted table. ``sort=False`` is accepted
-    and ignored: the output is the same sorted table."""
+    exchange still splits every block once and merges each key range in
+    one reduce task: 1100 raw-triple slices canonicalize to the identical
+    sorted table. ``sort=False`` is accepted and ignored: the output is
+    the same sorted table."""
     import pyarrow as pa
     import ray
     import ray.data as rd
@@ -127,12 +128,57 @@ def test_canonicalize_over_1024_blocks(kg_result):
         assert keys == sorted(keys)
 
 
+def test_canonicalize_groups_split_tasks(kg_result, monkeypatch):
+    """The exchange's grouping rule: with one CPU reported, one split task
+    takes all 12 partial blocks; with a 32-object bound, split tasks take
+    several blocks each. Either way the output is the identical sorted
+    table."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from recon_ray.functions import relational
+    from recon_ray.stages.canonicalize import canonicalize
+
+    res, _, _ = kg_result
+    a = res["canonical"].to_pandas()
+    raw = pa.concat_tables(ray.get(res["triples"].materialize().to_arrow_refs()))
+    n = 12
+    cuts = [raw.num_rows * i // n for i in range(n + 1)]
+    refs = [ray.put(raw.slice(cuts[i], cuts[i + 1] - cuts[i])) for i in range(n)]
+    real_split = relational.split_blocks
+    for cpus, max_objects in ((1, relational.MAX_EXCHANGE_OBJECTS), (64, 32)):
+        calls = []
+
+        def counting_split(refs, *args, **kw):
+            calls.append(len(refs))
+            return real_split(refs, *args, **kw)
+
+        monkeypatch.setattr(relational, "cluster_cpus", lambda: cpus)
+        monkeypatch.setattr(relational, "MAX_EXCHANGE_OBJECTS", max_objects)
+        monkeypatch.setattr(relational, "split_blocks", counting_split)
+        b = canonicalize(rd.from_arrow_refs(refs)).to_pandas()
+        assert sum(calls) == n and 1 <= len(calls) < n
+        if cpus == 1:
+            assert calls == [n]
+        pd.testing.assert_frame_equal(
+            a.reset_index(drop=True), b[a.columns].reset_index(drop=True)
+        )
+        keys = list(zip(b["subj"], b["pred"], b["obj"]))
+        assert keys == sorted(keys)
+
+
 def test_key_boundaries_match_python_sort():
     """The Arrow-sorted boundary sample equals sorting the packed keys as
-    Python str: duplicates, non-ASCII text and the \\x00 separator."""
+    Python str, and the range rule's bucket of each key equals
+    ``bisect_right(bounds, key)``: duplicates, non-ASCII text, the \\x00
+    separator, keys equal to a boundary (they go to the upper range) and
+    no boundaries at all (one bucket)."""
+    import bisect
+
     import pyarrow as pa
 
-    from recon_ray.stages.canonicalize import _key_boundaries
+    from recon_ray.stages.canonicalize import _key_boundaries, _range_buckets
 
     def python_bounds(keys, n_ranges):
         keys = sorted(keys)
@@ -149,8 +195,19 @@ def test_key_boundaries_match_python_sort():
     for n_ranges in (2, 3, 8, 16, 64, 256):
         for chunks in ([keys], [keys[:7], keys[7:]]):
             arr = pa.chunked_array(chunks, pa.string())
-            assert _key_boundaries(arr, n_ranges) == python_bounds(keys, n_ranges)
+            bounds = _key_boundaries(arr, n_ranges)
+            assert bounds == python_bounds(keys, n_ranges)
+            assert set(bounds) <= set(keys)
+            got = _range_buckets(pa.array(bounds, pa.string()),
+                                 pa.table({"k": arr}), len(bounds) + 1)
+            assert got.tolist() == [bisect.bisect_right(bounds, k) for k in keys]
     assert _key_boundaries(pa.chunked_array([], pa.string()), 8) == []
+    assert _range_buckets(pa.array([], pa.string()), pa.table({"k": keys}),
+                          1).tolist() == [0] * len(keys)
+    # the rule packs multi-column keys with the \x00 separator
+    two = pa.table({"a": ["a", "a", "b"], "b": ["", "b", ""]})
+    assert _range_buckets(pa.array(["a\x00b"], pa.string()), two, 2).tolist() \
+        == [0, 1, 1]
 
 
 def test_empty_corpus_all_modes(tmp_path):
@@ -168,7 +225,10 @@ def test_empty_corpus_all_modes(tmp_path):
          for c in ["repo", "path", "commit", "lang", "content"]}
     )
     pq.write_table(t, str(d / "part-0.parquet"))
-    assert run_kg(str(d))["canonical"].count() == 0
+    canonical = run_kg(str(d))["canonical"]
+    assert canonical.count() == 0
+    # the exchange's merge of the 0-row partial gives the full schema
+    assert canonical.schema().names == COLS
     assert run_kg(str(d), symbol_source="mentions")["canonical"].count() == 0
 
 

@@ -3,7 +3,8 @@
 Headline: the flagship KG pipeline (read → detect → correct → link →
 canonicalize → sorted write) over the deterministic synthetic code corpus
 sized for $GRAFT_SF_DIR (default /root/testdata/sf0.1 → 96,000 files,
-~700 MB source text), at ``num_cpus = $RAY_GRAFT_CPUS`` (default 32).
+~700 MB source text), at ``num_cpus = $RAY_GRAFT_CPUS`` (default: the
+CPUs this process may run on, ``os.sched_getaffinity``).
 
 Prints ONE JSON line:
   {"metric": "kg_pipeline_sec", "value": <headline sec>, "unit": "sec",
@@ -29,7 +30,8 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 
 
 def pa_sum(col) -> int:

@@ -1,6 +1,7 @@
 """The flagship KG-construction pipeline (SURVEY §7.1), one sequence:
 
-    read_parquet(files)
+    read_parquet(files)                            [Ray's read sizing: one
+                                                    block per small fragment]
       → mention detection (+ content_sha256)       [elastic tasks; per-process
           (import/def/call/ident raw spans)         compiled-pattern cache]
       → correction chain (upcase → rename → strip
@@ -9,21 +10,23 @@
       → pin the docs block by block; each block    [streamed off the
           feeds a DEF task, merged remotely into     executor as blocks land]
           the broadcast symbol dictionary
-      → triple linking against that dictionary     [elastic tasks; the dict
-          (or a caller-given one)                    is fetched once per
-                                                    worker process]
-      → canonicalize (combiner → small-partials    [the shared exchange
-          barrier → range split → key-range merge,   under a range rule;
-          each range sorted by (subj, pred, obj))    output sorted, no
+      → link + combine: one task per pinned block  [plain ray tasks; the dict
+          links it against that dictionary (or a     is fetched once per
+          caller-given one) and pre-aggregates its   worker process]
+          triples into a canonicalize partial
+      → canonicalize tail (range split of the      [the shared exchange
+          partials → key-range merge, each range     under a range rule;
+          sorted by (subj, pred, obj))               output sorted, no
                                                      sort stage]
     plus the exploded mentions table for stats/insights.
 
 ``run_kg`` executes detection, the symbol build, linking and the
-canonicalize combiner before it returns: the detected docs are pinned
-(content-free, so about the size of their mentions) and the returned
-``canonical`` Dataset is backed by reduce-task refs. Only the exploded
-mentions stay lazy. Corpora whose pinned docs would not fit the object
-store go through ``state/runner.py:run_kg_checkpointed`` shard by shard.
+canonicalize exchange before it returns: the detected docs are pinned
+(content-free, so about the size of their mentions), no raw-triples
+Dataset exists, and the returned ``canonical`` Dataset is backed by
+reduce-task refs. Only the exploded mentions stay lazy. Corpora whose
+pinned docs would not fit the object store go through
+``state/runner.py:run_kg_checkpointed`` shard by shard.
 The correction chain is load-bearing: raw labels are lowercase, CALL
 spans carry trailing whitespace, keyword false-positives must be deleted
 — skipping any step changes the emitted triples (P/R gate vs
@@ -38,10 +41,10 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from recon_ray.functions.relational import cluster_cpus
 from recon_ray.ops import LineageTracker, pipe
 from recon_ray.ops.spans import CORRECTION_CHAIN
-from recon_ray.stages.canonicalize import canonicalize
+from recon_ray.stages.canonicalize import (_EMPTY_PARTIAL, merge_partials,
+                                           partial_canonicalize)
 from recon_ray.stages.detect import detect_batch, scan_symbols_batch
 from recon_ray.stages.explode import explode_mentions
 from recon_ray.stages.link import make_link_batch
@@ -132,14 +135,35 @@ def _defs_kernel(batch: pa.Table) -> pa.Table:
     return t.group_by(["repo", "module", "name"]).aggregate([])
 
 
-@ray.remote
-def _defs_block(block) -> pa.Table:
-    """Task form of the DEF kernel over one materialized doc block."""
+def _as_arrow(block) -> pa.Table:
+    """A pinned doc block as Arrow (empty blocks can be pandas frames)."""
     import pandas as pd
 
     if isinstance(block, pd.DataFrame):
-        block = pa.Table.from_pandas(block, preserve_index=False)
-    return _defs_kernel(block)
+        return pa.Table.from_pandas(block, preserve_index=False)
+    return block
+
+
+@ray.remote
+def _defs_block(block) -> pa.Table:
+    """Task form of the DEF kernel over one materialized doc block."""
+    return _defs_kernel(_as_arrow(block))
+
+
+def _link_kernel(block, symbols: list) -> pa.Table:
+    """Link one pinned doc block and pre-aggregate its triples into the
+    canonicalize partial ``(KEY_COLS, n_mentions, prov)``. ``symbols`` is
+    ``[symbols_ref]``: nested, so Ray hands the task the ref, not a
+    deserialized copy, and make_link_batch fetches the dictionary once
+    per worker process."""
+    block = _as_arrow(block)
+    # an empty block can arrive without any columns
+    if block.num_rows == 0 or "mentions" not in block.column_names:
+        return _EMPTY_PARTIAL
+    return partial_canonicalize(make_link_batch(symbols[0])(block))
+
+
+_link_block = ray.remote(_link_kernel)
 
 
 @ray.remote
@@ -182,7 +206,8 @@ def run_kg(
     symbols_ref=None,
     symbol_source: str = "mentions",
 ) -> dict:
-    """Detect → correct → pin docs (+ symbol build) → link → canonicalize.
+    """Detect → correct → pin docs (+ symbol build) → link each block into
+    canonical partials → merge them.
     Returns the component Datasets (``canonical`` sorted by
     (subj, pred, obj)), the symbol dictionary ref and the lineage tracker.
 
@@ -199,12 +224,13 @@ def run_kg(
         )
     tracker = LineageTracker.remote() if track_lineage else None
 
-    # fan the read out well past the CPU count — parallelism is otherwise
-    # capped by the input fragment count (few big fragments → idle
-    # workers). At 96 blocks/32 cpus the extract stage ran 3 task waves
-    # with a straggler tail (14.7 s max vs 9.0 s mean task — oversized-file
-    # skew); smaller tasks even the last wave for ~2% per-task overhead.
-    files = read_files(input_path, parallelism=max(6 * cluster_cpus(), 64))
+    # Ray's own read sizing: one block per small fragment (big fragments
+    # still split by size). Splitting 125-file fragments into 16-row
+    # blocks added no detect tasks (the batch_size bundler joins them
+    # back) and serialized detection: over 1000 files in 8 fragments at
+    # 4 vCPUs, detect calls kept 0.79 CPUs busy with 64 read blocks
+    # against 1.6 with one block per fragment.
+    files = read_files(input_path)
     # the regex detector's only state is module-level compiled patterns,
     # so it runs as elastic stateless tasks
     docs = files.map_batches(
@@ -220,9 +246,7 @@ def run_kg(
     # read them, so detection runs once) by streaming their blocks as
     # detection finishes them. Without a given dictionary, each block
     # gets a DEF task as it lands and the dictionary is merged in a
-    # REMOTE task: the linker gets the pending ref, and its first batch
-    # blocks only if the build is still running by link time (the DEF
-    # partials are tiny next to detection).
+    # REMOTE task (the DEF partials are tiny next to detection).
     derive_symbols = symbols_ref is None
     block_refs, def_parts = [], []
     for ref in iter_block_refs(docs):
@@ -231,25 +255,23 @@ def run_kg(
             def_parts.append(_defs_block.remote(ref))
     if derive_symbols:
         symbols_ref = _merge_defs_to_dict.remote(*def_parts)
+    # One link task per pinned block, returning its canonicalize partial
+    # straight into the shared range exchange: no raw-triples Dataset and
+    # no combiner operator, whose Ray Data start-up dominated this phase
+    # (1000 files, 4 vCPUs: pinned docs to all partials in 0.58-0.60 s as
+    # link map_batches + combiner, 0.29-0.33 s as these tasks). Submitted
+    # once the dictionary exists, so no link task blocks a worker on it.
+    ray.wait([symbols_ref], fetch_local=False)
+    partials = [_link_block.remote(ref, [symbols_ref]) for ref in block_refs]
+    canonical = merge_partials(partials)
     # an empty corpus yields no blocks; materialize() keeps its schema
     docs = rd.from_arrow_refs(block_refs) if block_refs else docs.materialize()
-
-    # the broadcast dict is fetched once per worker process (zero-copy
-    # plasma read) — see stages/link.py:make_link_batch
-    triples = docs.map_batches(
-        make_link_batch(symbols_ref),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-    )
-    canonical = canonicalize(triples)
     mentions = explode_mentions(docs)
 
     return {
         "files": files,
         "docs": docs,
         "mentions": mentions,
-        "triples": triples,
         "canonical": canonical,
         "symbols_ref": symbols_ref,
         "tracker": tracker,

@@ -2,12 +2,13 @@
 analogue of the reference's content-addressed ``ExampleStore`` dedup
 (recon/store.py:39-47) re-expressed as a combiner + shuffle:
 
-1. **partial pre-aggregation** inside ``map_batches`` (one row per distinct
-   triple key per batch) — this is the skew absorber: a mega-repo's hot key
-   collapses to one tiny partial row per batch before anything moves, so
-   the merge only moves pre-reduced rows (SURVEY §4.2;
-   the explicit salted path for combiner-less aggs lives in
-   recon_ray/functions/relational.py:salted_group_count);
+1. **partial pre-aggregation** (one row per distinct triple key per
+   block), inside ``run_kg``'s per-block link tasks or, for a Dataset of
+   raw triples, a ``map_batches`` combiner — this is the skew absorber:
+   a mega-repo's hot key collapses to one tiny partial row per block
+   before anything moves, so the merge only moves pre-reduced rows
+   (SURVEY §4.2; the explicit salted path for combiner-less aggs lives
+   in recon_ray/functions/relational.py:salted_group_count);
 2. **range-partitioned merge**: key boundaries are sampled from the
    partial blocks, and the shared exchange
    (``functions/relational.py:exchange``) splits every partial block
@@ -161,21 +162,33 @@ def _sample_key_boundaries(refs, n_ranges: int) -> list[str]:
     return _key_boundaries(keys, n_ranges)
 
 
+def merge_partials(refs):
+    """Partial-block refs (each a :func:`partial_canonicalize` output) →
+    the canonical Dataset, sorted by (subj, pred, obj): key boundaries
+    sampled from the partials, then one :func:`exchange` under the range
+    rule, where each partial block is split into its key ranges once and
+    one reduce task per range merges with one vectorized Arrow group_by,
+    sorts and unpacks. The shared tail of :func:`canonicalize` and of
+    ``run_kg``, whose link tasks return partials directly. The reduce
+    output stays in the object store (``from_arrow_refs``)."""
+    import ray.data as rd
+
+    bounds = _sample_key_boundaries(refs, min(MAX_REDUCERS, cluster_cpus()))
+    rule = partial(_range_buckets, pa.array(bounds, pa.string()))
+    return rd.from_arrow_refs(exchange(
+        [(refs, KEY_COLS, _EMPTY_PARTIAL)], len(bounds) + 1, _merge_range, rule))
+
+
 def canonicalize(triples_ds, sort: bool = True):
     """Dataset of raw (or pre-canonicalized) triples → canonical deduped
     Dataset, sorted by (subj, pred, obj).
 
     (1) per-batch combiner (one row per distinct key per batch — the skew
-    absorber); (2) a materialize barrier on the partial blocks; (3) key
-    boundaries sampled from them; (4) one :func:`exchange` under the range
-    rule: each partial block is split into its key ranges once, and one
-    reduce task per range merges with one vectorized Arrow group_by,
-    sorts and unpacks. Ray's sort-based
-    groupby on the same partials measured 7–12 s of pure orchestration for
-    <2 s of useful work at 10^6 partial rows, and its groupby/map_groups
-    path took 656.6 s against this reduce's 10.5 s on 1066 partial blocks
-    (4 vCPUs).
-    The reduce output stays in the object store (``from_arrow_refs``).
+    absorber); (2) a materialize barrier on the partial blocks; (3)
+    :func:`merge_partials`. Ray's sort-based groupby on the same partials
+    measured 7–12 s of pure orchestration for <2 s of useful work at
+    10^6 partial rows, and its groupby/map_groups path took 656.6 s
+    against this reduce's 10.5 s on 1066 partial blocks (4 vCPUs).
 
     The materialize() barrier on the SMALL combiner output is deliberate:
     fusing the merge into the heavy extraction DAG makes the executor
@@ -187,15 +200,9 @@ def canonicalize(triples_ds, sort: bool = True):
     ``sort`` is accepted and ignored (the output is always sorted); it is
     kept for the benchmark's existing callers and goes when the benchmark
     is next revised."""
-    import ray.data as rd
-
     partials = triples_ds.map_batches(
         partial_canonicalize, batch_format="pyarrow", zero_copy_batch=True
     )
     # materialize first: on a lazy Dataset, to_arrow_refs() runs the plan
     # a second time to fetch the schema (Ray 2.49)
-    refs = partials.materialize().to_arrow_refs()
-    bounds = _sample_key_boundaries(refs, min(MAX_REDUCERS, cluster_cpus()))
-    rule = partial(_range_buckets, pa.array(bounds, pa.string()))
-    return rd.from_arrow_refs(exchange(
-        [(refs, KEY_COLS, _EMPTY_PARTIAL)], len(bounds) + 1, _merge_range, rule))
+    return merge_partials(partials.materialize().to_arrow_refs())

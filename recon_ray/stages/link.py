@@ -258,11 +258,13 @@ _PROCESS_LINKER: dict = {}
 
 
 def make_link_batch(symbols_ref):
-    """Stateless-task form of the linker: returns a plain function for
-    ``map_batches`` that fetches the broadcast dictionary ONCE PER WORKER
-    PROCESS (``ray.get`` of a plasma object is shared-memory; the cache
-    keys on the object ref so a new dictionary invalidates it). Elastic —
-    scales to every free CPU instead of a fixed pool. Use the TripleLinker
+    """Stateless-task form of the linker: returns a plain function from a
+    doc table to its raw triples that fetches the broadcast dictionary
+    ONCE PER WORKER PROCESS (``ray.get`` of a plasma object is
+    shared-memory; the cache keys on the object ref so a new dictionary
+    invalidates it). Its callers: ``run_kg``'s per-block link task
+    (``pipelines/kg.py:_link_kernel``), and ``map_batches`` in the
+    benchmark's traced link layer and in tests. Use the TripleLinker
     class form when the stage holds heavier per-actor state (models)."""
 
     def link_batch(batch: pa.Table) -> pa.Table:

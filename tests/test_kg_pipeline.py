@@ -15,6 +15,16 @@ COLS = [
 ]
 
 
+def _raw_triples(res):
+    """The raw (un-canonicalized) triples of a run_kg result, as a lazy
+    Dataset: its pinned docs linked against its symbol dictionary."""
+    from recon_ray.stages.link import make_link_batch
+
+    return res["docs"].map_batches(
+        make_link_batch(res["symbols_ref"]), batch_format="pyarrow",
+        zero_copy_batch=True)
+
+
 @pytest.fixture(scope="module")
 def kg_result(unit_corpus_dir):
     res = run_kg(unit_corpus_dir, track_lineage=True)
@@ -104,8 +114,8 @@ def test_canonicalize_over_1024_blocks(kg_result):
     """Past 1024 partial blocks (the old fallback threshold) the range
     exchange still splits every block once and merges each key range in
     one reduce task: 1100 raw-triple slices canonicalize to the identical
-    sorted table. ``sort=False`` is accepted and ignored: the output is
-    the same sorted table."""
+    sorted table. ``sort=False`` is accepted and ignored: the lazy
+    raw-triples Dataset canonicalizes to the same sorted table."""
     import pyarrow as pa
     import ray
     import ray.data as rd
@@ -114,12 +124,13 @@ def test_canonicalize_over_1024_blocks(kg_result):
 
     res, _, _ = kg_result
     a = res["canonical"].to_pandas()
-    raw = pa.concat_tables(ray.get(res["triples"].materialize().to_arrow_refs()))
+    triples = _raw_triples(res)
+    raw = pa.concat_tables(ray.get(triples.materialize().to_arrow_refs()))
     n = 1100
     assert raw.num_rows >= n
     cuts = [raw.num_rows * i // n for i in range(n + 1)]
     refs = [ray.put(raw.slice(cuts[i], cuts[i + 1] - cuts[i])) for i in range(n)]
-    for ds, sort in ((rd.from_arrow_refs(refs), True), (res["triples"], False)):
+    for ds, sort in ((rd.from_arrow_refs(refs), True), (triples, False)):
         b = canonicalize(ds, sort=sort).to_pandas()
         pd.testing.assert_frame_equal(
             a.reset_index(drop=True), b[a.columns].reset_index(drop=True)
@@ -142,7 +153,7 @@ def test_canonicalize_groups_split_tasks(kg_result, monkeypatch):
 
     res, _, _ = kg_result
     a = res["canonical"].to_pandas()
-    raw = pa.concat_tables(ray.get(res["triples"].materialize().to_arrow_refs()))
+    raw = pa.concat_tables(ray.get(_raw_triples(res).materialize().to_arrow_refs()))
     n = 12
     cuts = [raw.num_rows * i // n for i in range(n + 1)]
     refs = [ray.put(raw.slice(cuts[i], cuts[i + 1] - cuts[i])) for i in range(n)]
@@ -245,16 +256,27 @@ def test_symbols_from_docs_equals_scan(unit_corpus_dir, kg_result):
 
 
 def test_small_batches_with_empty_read_blocks(tmp_path):
-    """32 files in 8 fragments at batch_size=8: the read fans out to more
-    blocks than rows, so empty, column-less blocks reach the per-block
-    symbol build. The output must still equal the reference extractor's."""
+    """The per-block DEF and link tasks take empty blocks, column-less
+    Arrow tables and 0-row pandas frames alike (Ray can hand either to
+    a task), and return their empty output with the full schema. And 32
+    files in 8 fragments at batch_size=8 must still equal the reference
+    extractor's output."""
     import pyarrow as pa
+    import ray
 
     from recon_ray import reference_extractor as rx
     from recon_ray.corpusgen import generate_corpus, write_corpus
-    from recon_ray.pipelines.kg import _defs_kernel
+    from recon_ray.pipelines.kg import _defs_block, _link_block
+    from recon_ray.stages.canonicalize import _EMPTY_PARTIAL
 
-    assert _defs_kernel(pa.table({})).column_names == ["repo", "module", "name"]
+    symbols_ref = ray.put({})
+    for empty in (pa.table({}), pd.DataFrame()):
+        defs = ray.get(_defs_block.remote(empty))
+        assert defs.num_rows == 0
+        assert defs.column_names == ["repo", "module", "name"]
+        part = ray.get(_link_block.remote(empty, [symbols_ref]))
+        assert part.num_rows == 0
+        assert part.schema == _EMPTY_PARTIAL.schema
     d = write_corpus(32, str(tmp_path / "files"), seed=7, files_per_fragment=4)
     got = run_kg(d, batch_size=8)["canonical"].to_pandas()
     gold = pd.DataFrame(
@@ -269,30 +291,27 @@ def test_small_batches_with_empty_read_blocks(tmp_path):
 
 def test_linker_sees_each_doc_once(unit_corpus_dir, tmp_path, monkeypatch):
     """Linking runs once per doc, in run_kg and in the checkpointed runner:
-    no lazy plan is executed twice (Ray 2.49's to_arrow_refs() re-runs a
-    lazy plan for its schema) and no shard is canonicalized twice."""
+    the per-block link tasks see every pinned doc once (no plan runs
+    twice and no shard is linked twice)."""
+    import ray
+
     from recon_ray.pipelines import kg
     from recon_ray.state.runner import run_kg_checkpointed
 
     log = tmp_path / "linked_rows"
-    real = kg.make_link_batch
+    real, path = kg._link_kernel, str(log)
 
-    def counting_make_link_batch(symbols_ref):
-        link_batch, path = real(symbols_ref), str(log)
-
-        def counted(batch):
-            with open(path, "a") as f:
-                f.write(f"{batch.num_rows}\n")
-            return link_batch(batch)
-
-        return counted
+    def counted(block, symbols):
+        with open(path, "a") as f:
+            f.write(f"{len(block)}\n")
+        return real(block, symbols)
 
     def linked_rows() -> int:
         n = sum(int(x) for x in log.read_text().split())
         log.unlink()
         return n
 
-    monkeypatch.setattr(kg, "make_link_batch", counting_make_link_batch)
+    monkeypatch.setattr(kg, "_link_block", ray.remote(counted))
     kg.run_kg(unit_corpus_dir)["canonical"].count()
     assert linked_rows() == 120
     run_kg_checkpointed(unit_corpus_dir, str(tmp_path / "ckpt"),
@@ -334,3 +353,27 @@ def test_ref_bundle_api_fallback(kg_result, unit_corpus_dir, monkeypatch):
     monkeypatch.setattr(streaming, "ref_bundle_api_available", lambda: False)
     got = run_kg(unit_corpus_dir)["canonical"].to_pandas()
     pd.testing.assert_frame_equal(got, kg_result[1])
+
+
+def test_one_detect_call_per_fragment(tmp_path, monkeypatch):
+    """run_kg reads one block per small Parquet fragment, so 8 fragments
+    of 125 files at the default batch_size make exactly 8 detector calls
+    over the 1000 files (the batcher cuts two joined 125-row blocks at
+    128 rows). A read split into 16-row blocks made 15 calls."""
+    from recon_ray.corpusgen import write_corpus
+    from recon_ray.pipelines import kg
+
+    d = write_corpus(1000, str(tmp_path / "files"), seed=3,
+                     files_per_fragment=125)
+    log = tmp_path / "detect_rows"
+    real, path = kg.detect_batch, str(log)
+
+    def counted(batch):
+        with open(path, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return real(batch)
+
+    monkeypatch.setattr(kg, "detect_batch", counted)
+    kg.run_kg(d)["canonical"].count()
+    rows = [int(x) for x in log.read_text().split()]
+    assert len(rows) == 8 and sum(rows) == 1000

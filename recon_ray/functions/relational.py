@@ -11,6 +11,8 @@ distributed shapes (SURVEY §2.5):
 - ``exchange``: the split/reduce pair behind every wide step — split
   tasks cut blocks into buckets by a rule (``hash_buckets`` by default;
   canonicalize passes a key-range rule), one reduce task per bucket.
+  ``to_table`` collects an exchange result with its columns, even when
+  every bucket is empty.
 - ``shuffle_join`` / ``shuffle_semi_join``: both sides large — one hash
   exchange with a local Acero join per bucket.
 - ``grouped_agg``: combiner pattern — per-batch pandas partial aggregates
@@ -265,6 +267,14 @@ def exchange(sides, n_buckets: int, fn, rule=hash_buckets) -> list:
                             *[s[i] for side in splits for s in side])
         for i in range(n_buckets)
     ]
+
+
+def to_table(ds) -> pa.Table:
+    """A materialized Dataset with at least one block, such as an
+    exchange result (``from_arrow_refs`` over the reduce refs), as one
+    Arrow table. It keeps the columns when every block is empty, where
+    Ray 2.49's ``to_pandas`` returns a frame without any."""
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()), promote_options="default")
 
 
 def _arrow_type(t) -> Optional[pa.DataType]:

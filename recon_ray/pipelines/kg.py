@@ -209,7 +209,8 @@ def run_kg(
     """Detect → correct → pin docs (+ symbol build) → link each block into
     canonical partials → merge them.
     Returns the component Datasets (``canonical`` sorted by
-    (subj, pred, obj)), the symbol dictionary ref and the lineage tracker.
+    (subj, pred, obj)), the pinned doc block refs behind ``docs``
+    (``doc_refs``), the symbol dictionary ref and the lineage tracker.
 
     ``symbols_ref``: pass a pre-broadcast symbol dictionary (ray.put ref)
     to link against it instead of the dictionary derived from this call's
@@ -271,6 +272,7 @@ def run_kg(
     return {
         "files": files,
         "docs": docs,
+        "doc_refs": block_refs,
         "mentions": mentions,
         "canonical": canonical,
         "symbols_ref": symbols_ref,

@@ -781,7 +781,7 @@ def q_full_outer_daily_users(sf_dir: str):
     side's measures NULL (returned as 0-filled ints + presence flags so
     the hash gate stays integral). Both sides are pre-aggregated
     combiner-first, so the shuffle moves ≤ n_days rows per side."""
-    from recon_ray.functions.relational import shuffle_join
+    from recon_ray.functions.relational import shuffle_join, to_table
 
     ev = _t(sf_dir, "events").select_columns(["ts", "event_type", "value"])
 
@@ -809,11 +809,11 @@ def q_full_outer_daily_users(sf_dir: str):
     # bearing, not decorative
     buy = buy[buy["day"].str[-1].astype(int) % 2 == 0]
     log = log[log["day"].str[-1].astype(int) % 2 == 1]
-    j = shuffle_join(
+    j = to_table(shuffle_join(
         rd.from_pandas(buy.rename(columns={"day": "bday"})),
         rd.from_pandas(log.rename(columns={"day": "lday"})),
         on="bday", right_on="lday", how="full_outer",
-    ).to_pandas()
+    )).to_pandas()
     day = j["bday"].where(j["bday"].notna(), j.get("lday"))
     out = pd.DataFrame(
         {"day": day,
@@ -4913,7 +4913,7 @@ def q_customer_order_counts_outer(sf_dir: str):
     keys-sized."""
     from ray.data.aggregate import Sum
 
-    from recon_ray.functions.relational import shuffle_join
+    from recon_ray.functions.relational import shuffle_join, to_table
 
     cust = _t(sf_dir, "customer").select_columns(
         ["c_custkey", "c_mktsegment"]
@@ -4931,9 +4931,9 @@ def q_customer_order_counts_outer(sf_dir: str):
         .groupby("o_custkey")
         .aggregate(Sum("__c", alias_name="__c"))
     )
-    out = shuffle_join(
+    out = to_table(shuffle_join(
         cust, counts, on="c_custkey", right_on="o_custkey", how="left_outer"
-    ).to_pandas()
+    )).to_pandas()
     out["order_count"] = out["__c"].fillna(0).astype("int64")
     out = out[["c_custkey", "c_mktsegment", "order_count"]]
     out["c_custkey"] = out["c_custkey"].astype("int64")

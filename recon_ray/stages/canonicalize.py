@@ -3,8 +3,9 @@ analogue of the reference's content-addressed ``ExampleStore`` dedup
 (recon/store.py:39-47) re-expressed as a combiner + shuffle:
 
 1. **partial pre-aggregation** (one row per distinct triple key per
-   block), inside ``run_kg``'s per-block link tasks or, for a Dataset of
-   raw triples, a ``map_batches`` combiner — this is the skew absorber:
+   block), inside ``run_kg``'s per-block link tasks, the checkpointed
+   runner's per-file merge tasks or, for a Dataset of raw triples, a
+   ``map_batches`` combiner — this is the skew absorber:
    a mega-repo's hot key collapses to one tiny partial row per block
    before anything moves, so the merge only moves pre-reduced rows
    (SURVEY §4.2; the explicit salted path for combiner-less aggs lives
@@ -168,8 +169,9 @@ def merge_partials(refs):
     sampled from the partials, then one :func:`exchange` under the range
     rule, where each partial block is split into its key ranges once and
     one reduce task per range merges with one vectorized Arrow group_by,
-    sorts and unpacks. The shared tail of :func:`canonicalize` and of
-    ``run_kg``, whose link tasks return partials directly. The reduce
+    sorts and unpacks. The shared tail of :func:`canonicalize`, of
+    ``run_kg``, whose link tasks return partials directly, and of the
+    checkpointed runner's final merge. The reduce
     output stays in the object store (``from_arrow_refs``)."""
     import ray.data as rd
 
@@ -181,7 +183,9 @@ def merge_partials(refs):
 
 def canonicalize(triples_ds, sort: bool = True):
     """Dataset of raw (or pre-canonicalized) triples → canonical deduped
-    Dataset, sorted by (subj, pred, obj).
+    Dataset, sorted by (subj, pred, obj). Its callers are the benchmark
+    and the tests; ``run_kg`` and the checkpointed runner's final merge
+    build their partials in plain tasks and call :func:`merge_partials`.
 
     (1) per-batch combiner (one row per distinct key per batch — the skew
     absorber); (2) a materialize barrier on the partial blocks; (3)

@@ -5,9 +5,12 @@
 Layout under an output root:
 
     out/
-      symbols/            symbols.parquet + manifest.json
-      shards/shard=NNNN/  triples.parquet, mentions_stats/, manifest.json
-      triples/            final sorted canonical triples (+ manifest.json)
+      symbols/            data/symbols.parquet + manifest.json
+      shards/shard=NNNN/  triples/ (sorted canonical parts),
+                          insights/coverage/, insights/label_counts.parquet,
+                          manifest.json
+      triples/            data/ (final sorted canonical triples)
+                          + manifest.json
 
 Rules (mirroring recon/dataset.py:353-381 semantics):
 - a shard is skipped on resume iff its manifest says COMPLETED, its

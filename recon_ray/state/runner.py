@@ -11,9 +11,16 @@ BASELINE.json.
 
 Each shard is internally fully parallel (the whole cluster works on one
 shard's fragments); shard size trades resume granularity against scheduling
-overhead — at 100 TB, hundreds of multi-GB shards. Per-shard quality
-insights (entity coverage, label counts — north_star "per partition")
-are written next to the shard's triples.
+overhead — at 100 TB, hundreds of multi-GB shards. After ``run_kg``, a
+shard's bookkeeping runs as plain tasks over the doc blocks ``run_kg``
+already pinned: one stats task per block flattens the ``mentions`` list
+column (no explode) and returns the block's doc and mention counts, its
+content-hash rollup and its coverage and label-count partials; one task
+per shard merges those partials into the per-shard quality insights
+(entity coverage, label counts — north_star "per partition"), written
+next to the shard's triples. The driver only sees the counts. The final
+merge reads each shard file in its own task into a canonicalize partial
+and feeds the partials to ``merge_partials``, the tail ``run_kg`` shares.
 """
 
 from __future__ import annotations
@@ -22,15 +29,17 @@ import os
 import time
 from typing import Optional
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray.data as rd
+import ray
 
 from recon_ray import spec
-from recon_ray.functions.stats import entity_coverage, label_counts
+from recon_ray.functions.stats import _partial_coverage, _partial_label_counts
 from recon_ray.hashing import combine_u64
-from recon_ray.pipelines.kg import run_kg, scan_symbols, read_files
-from recon_ray.stages.canonicalize import canonicalize
+from recon_ray.pipelines.kg import _as_arrow, read_files, run_kg, scan_symbols
+from recon_ray.stages.canonicalize import merge_partials, partial_canonicalize
 from recon_ray.stages.link import build_symbol_broadcast
 from recon_ray.state import lineage as lin
 
@@ -52,6 +61,75 @@ def _shards(fragments: list[str], fragments_per_shard: int) -> list[list[str]]:
         fragments[i : i + fragments_per_shard]
         for i in range(0, len(fragments), fragments_per_shard)
     ]
+
+
+#: the flattened spans of a block without mentions, and their partials
+_NO_SPANS = pa.table({"text": pa.array([], pa.string()),
+                      "label": pa.array([], pa.string())})
+_NO_COVERAGE = _partial_coverage(_NO_SPANS, case_sensitive=False)
+_NO_LABELS = _partial_label_counts(_NO_SPANS)
+
+
+def _sha_rollup(sha: pa.ChunkedArray) -> int:
+    """``combine_u64(int(h[:16], 16) for h in sha)`` without per-row
+    Python: the 16-hex-char heads, joined into one string, decode to
+    big-endian u64s whose numpy sum wraps mod 2^64."""
+    heads = pc.utf8_slice_codeunits(sha, 0, 16).combine_chunks()
+    joined = pc.binary_join(
+        pa.ListArray.from_arrays(pa.array([0, len(heads)], pa.int32()), heads),
+        "")[0].as_py()
+    if len(joined) != 16 * len(heads):
+        raise ValueError("content_sha256 holds a value shorter than 16 hex chars")
+    return int(np.frombuffer(bytes.fromhex(joined), ">u8").sum(dtype=np.uint64))
+
+
+def _doc_block_stats(block) -> tuple[tuple[int, int, int], pa.Table, pa.Table]:
+    """One pinned doc block → ``(n_docs, n_mentions, sha rollup)``, its
+    lower-cased ``(text, label)`` coverage partial and its label-count
+    partial. The ``mentions`` list column is flattened, not exploded:
+    the flattened length is the exploded row count."""
+    block = _as_arrow(block)
+    # an empty block can arrive without any columns
+    if block.num_rows == 0 or "mentions" not in block.column_names:
+        return (block.num_rows, 0, 0), _NO_COVERAGE, _NO_LABELS
+    child = block.column("mentions").combine_chunks().flatten()
+    spans = pa.table({"text": child.field("text"), "label": child.field("label")})
+    return ((block.num_rows, spans.num_rows,
+             _sha_rollup(block.column("content_sha256"))),
+            _partial_coverage(spans, case_sensitive=False),
+            _partial_label_counts(spans))
+
+
+_doc_block_stats_task = ray.remote(num_returns=3)(_doc_block_stats)
+
+
+@ray.remote
+def _write_insights(out_dir: str, n_blocks: int, *parts: pa.Table) -> None:
+    """Merge a shard's per-block partials (``n_blocks`` coverage partials,
+    then as many label partials) and write ``coverage/`` and
+    ``label_counts.parquet`` under ``out_dir``, in the order of
+    ``functions/stats.py``'s ``entity_coverage`` (count desc, text,
+    label) and ``label_counts`` (count desc, label)."""
+    # the empty partials give a shard without blocks its schema
+    cov = pa.concat_tables([_NO_COVERAGE, *parts[:n_blocks]]).group_by(
+        ["text", "label"]).aggregate([("partial", "sum")]).rename_columns(
+        ["text", "label", "count"])
+    labels = pa.concat_tables([_NO_LABELS, *parts[n_blocks:]]).group_by(
+        "label").aggregate([("partial", "sum")]).rename_columns(["label", "count"])
+    os.makedirs(os.path.join(out_dir, "coverage"))
+    pq.write_table(
+        cov.sort_by([("count", "descending"), ("text", "ascending"),
+                     ("label", "ascending")]),
+        os.path.join(out_dir, "coverage", "part-00000.parquet"))
+    pq.write_table(
+        labels.sort_by([("count", "descending"), ("label", "ascending")]),
+        os.path.join(out_dir, "label_counts.parquet"))
+
+
+@ray.remote
+def _file_partial(path: str) -> pa.Table:
+    """One shard triples file as a canonicalize partial."""
+    return partial_canonicalize(pq.read_table(path))
 
 
 def run_kg_checkpointed(
@@ -125,9 +203,8 @@ def run_kg_checkpointed(
             continue
         t0 = time.time()
         res = run_kg(shard_frags, batch_size=batch_size, symbols_ref=symbols_ref)
-        docs = res["docs"]
-        # three consumers below (count, coverage, label counts): explode once
-        mentions = res["mentions"].materialize()
+        # the stats tasks run while the canonical write does
+        stats = [_doc_block_stats_task.remote(ref) for ref in res["doc_refs"]]
 
         triples_dir = os.path.join(shard_dir, "triples")
         with lin.atomic_output_dir(triples_dir) as tmp:
@@ -141,32 +218,22 @@ def run_kg_checkpointed(
                 ).column("n_mentions")
                 n_canonical += len(col)
                 n_triples += pc.sum(col).as_py() or 0
-        n_mentions = mentions.count()
         if write_insights:
             with lin.atomic_output_dir(os.path.join(shard_dir, "insights")) as tmp:
-                entity_coverage(mentions).write_parquet(
-                    os.path.join(tmp, "coverage")
-                )
-                label_counts(mentions).to_parquet(
-                    os.path.join(tmp, "label_counts.parquet")
-                )
+                ray.get(_write_insights.remote(
+                    tmp, len(stats), *[s[1] for s in stats], *[s[2] for s in stats]))
+        counts = ray.get([s[0] for s in stats])
         # order-insensitive content-hash rollup (the shard's commit hash,
         # analogue of recon/hashing.py:88-100)
-        sha_rollup = combine_u64(
-            int(h[:16], 16)
-            for b in docs.select_columns(["content_sha256"]).iter_batches(
-                batch_format="pyarrow"
-            )
-            for h in b.column("content_sha256").to_pylist()
-        )
+        sha_rollup = combine_u64(c[2] for c in counts)
         m = lin.ShardManifest(
             shard_id=sid,
             status=lin.COMPLETED,
             args_hash=shard_args_hash,
             input_fragments=lin.fragment_fingerprint(shard_frags),
             content_hash_rollup=f"{sha_rollup:016x}",
-            n_files=docs.count(),
-            n_mentions=n_mentions,
+            n_files=sum(c[0] for c in counts),
+            n_mentions=sum(c[1] for c in counts),
             n_triples=n_triples,
             n_canonical=n_canonical,
             elapsed_sec=time.time() - t0,
@@ -202,7 +269,7 @@ def run_kg_checkpointed(
                 )
                 if f.endswith(".parquet")
             ]
-            merged = canonicalize(rd.read_parquet(shard_parts))
+            merged = merge_partials([_file_partial.remote(p) for p in shard_parts])
             with lin.atomic_output_dir(os.path.join(final_dir, "data")) as tmp:
                 merged.write_parquet(tmp)
             # count the MERGED rows (cross-shard triples dedupe at the global

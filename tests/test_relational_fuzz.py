@@ -1035,8 +1035,9 @@ def test_weighted_bernoulli_sample_properties(ray_session):
 def test_bucket_join_matches_whole_input_join(lrows, rrows, how, parts):
     """The hash exchange must return the same multiset of rows as one
     Acero join over the whole input for every join type, including dup
-    keys and NULL-free random layouts."""
-    from recon_ray.functions.relational import shuffle_join
+    keys and NULL-free random layouts; an empty result keeps its
+    columns."""
+    from recon_ray.functions.relational import shuffle_join, to_table
 
     ldf = pd.DataFrame(lrows, columns=["k", "v"])
     rdf = pd.DataFrame(rrows, columns=["rk", "s"])
@@ -1058,11 +1059,9 @@ def test_bucket_join_matches_whole_input_join(lrows, rrows, how, parts):
         pa.Table.from_pandas(rdf, preserve_index=False), keys="k",
         right_keys="rk", join_type=how.replace("_", " "),
         right_suffix="_r")
-    got, want = got.to_pandas(), want.to_pandas()
-    assert len(got) == len(want)
-    if len(want):  # Ray hands back an all-empty result without columns
-        pd.testing.assert_frame_equal(norm(got), norm(want),
-                                      check_dtype=False)
+    got, want = to_table(got).to_pandas(), want.to_pandas()
+    assert sorted(got.columns) == sorted(want.columns)
+    pd.testing.assert_frame_equal(norm(got), norm(want), check_dtype=False)
 
 
 @pytest.mark.parametrize("how", ["inner", "left_outer", "right_outer",

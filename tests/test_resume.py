@@ -217,3 +217,102 @@ def test_shard_triples_sorted(tmp_path_factory):
         assert len(shard) > 0
         keys = list(zip(shard["subj"], shard["pred"], shard["obj"]))
         assert keys == sorted(keys)
+
+
+def test_shard_tail_matches_library_definitions(tmp_path_factory):
+    """The per-block tail (stats tasks + one insights merge task per
+    shard) writes what the Dataset definitions give for the shard's
+    ``run_kg`` docs under the run's dictionary: coverage equal to
+    ``entity_coverage(explode_mentions(docs))`` in rows and order, label
+    counts equal to ``label_counts``, and manifest counts and rollup
+    equal to ``docs.count()``, the exploded row count and the
+    ``combine_u64`` of the sha heads."""
+    import pyarrow.parquet as pq
+
+    from recon_ray.corpusgen import generate_corpus
+    from recon_ray.functions.stats import entity_coverage, label_counts
+    from recon_ray.hashing import combine_u64
+    from recon_ray.pipelines.kg import run_kg
+    from recon_ray.stages.explode import explode_mentions
+    from recon_ray.stages.link import build_symbol_broadcast
+    from recon_ray.state.runner import run_kg_checkpointed
+
+    table = generate_corpus(160, seed=8)
+    files = tmp_path_factory.mktemp("tail_files")
+    frags = []
+    for i in range(4):
+        frags.append(str(files / f"part-{i:05d}.parquet"))
+        pq.write_table(table.slice(40 * i, 40), frags[-1])
+    out = str(tmp_path_factory.mktemp("tail_out"))
+    r = run_kg_checkpointed(str(files), out, fragments_per_shard=2)
+    assert r["complete"] and r["shards_run"] == 2
+
+    symbols_ref, _ = build_symbol_broadcast(
+        pq.read_table(os.path.join(out, "symbols", "data", "symbols.parquet")))
+    for sid in range(2):
+        shard_dir = os.path.join(out, "shards", f"shard={sid:04d}")
+        docs = run_kg(frags[2 * sid:2 * sid + 2], symbols_ref=symbols_ref)["docs"]
+        mentions = explode_mentions(docs).materialize()
+
+        got = pd.read_parquet(os.path.join(shard_dir, "insights", "coverage"))
+        want = entity_coverage(mentions).to_pandas()
+        assert len(want) > 0
+        pd.testing.assert_frame_equal(got, want)
+        got = pd.read_parquet(
+            os.path.join(shard_dir, "insights", "label_counts.parquet"))
+        assert got.equals(label_counts(mentions))
+
+        with open(os.path.join(shard_dir, "manifest.json")) as f:
+            m = json.load(f)
+        assert m["n_files"] == docs.count() == 80
+        assert m["n_mentions"] == mentions.count()
+        rollup = combine_u64(
+            int(h[:16], 16) for h in docs.to_pandas()["content_sha256"])
+        assert m["content_hash_rollup"] == f"{rollup:016x}"
+
+
+@pytest.mark.parametrize("block", ["arrow", "pandas"])
+def test_doc_block_stats_of_an_empty_block(block):
+    """An empty doc block (Ray can hand one over without columns, as an
+    Arrow table or a pandas frame) gives zero counts and 0-row partials
+    of the full schema."""
+    import pyarrow as pa
+    import ray
+
+    from recon_ray.state.runner import _doc_block_stats_task
+
+    empty = pa.table({}) if block == "arrow" else pd.DataFrame()
+    counts, cov, labels = ray.get(_doc_block_stats_task.remote(empty))
+    assert counts == (0, 0, 0)
+    assert cov.num_rows == labels.num_rows == 0
+    assert cov.schema == pa.schema(
+        [("text", pa.string()), ("label", pa.string()), ("partial", pa.int64())])
+    assert labels.schema == pa.schema(
+        [("label", pa.string()), ("partial", pa.int64())])
+
+
+def test_empty_fragment_shard(tmp_path_factory):
+    """A shard whose only fragment has no rows commits zero counts and
+    empty insights with their columns, and the merge still runs."""
+    import pyarrow.parquet as pq
+
+    from recon_ray.corpusgen import generate_corpus
+    from recon_ray.state.runner import run_kg_checkpointed
+
+    table = generate_corpus(40, seed=1)
+    files = tmp_path_factory.mktemp("empty_frag_files")
+    pq.write_table(table, str(files / "part-00000.parquet"))
+    pq.write_table(table.slice(0, 0), str(files / "part-00001.parquet"))
+    out = str(tmp_path_factory.mktemp("empty_frag_out"))
+    r = run_kg_checkpointed(str(files), out, fragments_per_shard=1)
+    assert r["complete"] and r["shards_run"] == 2
+    empty = r["manifests"][1]
+    assert (empty.n_files, empty.n_mentions, empty.n_canonical) == (0, 0, 0)
+    assert empty.content_hash_rollup == f"{0:016x}"
+    insights = os.path.join(out, "shards", "shard=0001", "insights")
+    cov = pd.read_parquet(os.path.join(insights, "coverage"))
+    assert list(cov.columns) == ["text", "label", "count"] and len(cov) == 0
+    labels = pd.read_parquet(os.path.join(insights, "label_counts.parquet"))
+    assert list(labels.columns) == ["label", "count"] and len(labels) == 0
+    final = pd.read_parquet(os.path.join(out, "triples", "data"))
+    assert len(final) == r["manifests"][0].n_canonical > 0

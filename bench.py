@@ -138,6 +138,7 @@ def run_bench() -> dict:
 
     # ---- secondary pipelines over driver testdata -------------------------
     from recon_ray.pipelines.queries import (
+        QUERIES,
         doc_token_counts,
         knn_exact_top10,
         q1_pricing_summary,
@@ -272,26 +273,13 @@ def run_bench() -> dict:
 
     # SQL front-end: the TPC-H mini-suite's heaviest members compiled
     # and executed by the engine (identical strings to the DuckDB gate)
-    from recon_ray.pipelines.queries import (SQL_FRONTEND_TPCH_Q1,
-                                             SQL_FRONTEND_TPCH_Q3)
-    from recon_ray.sql import run_sql
-
-    t0 = time.time()
-    run_sql(SQL_FRONTEND_TPCH_Q1,
-            {"lineitem": rd.read_parquet(f"{SF_DIR}/lineitem.parquet")})
-    queries["sql_tpch_q1"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    run_sql(
-        SQL_FRONTEND_TPCH_Q3,
-        {"customer": rd.read_parquet(f"{SF_DIR}/customer.parquet"),
-         "orders": rd.read_parquet(f"{SF_DIR}/orders.parquet"),
-         "lineitem": rd.read_parquet(f"{SF_DIR}/lineitem.parquet")})
-    queries["sql_tpch_q3"] = round(time.time() - t0, 3)
+    for q in ("q1", "q3"):
+        t0 = time.time()
+        QUERIES[f"q_sql_frontend_tpch_{q}"](SF_DIR)
+        queries[f"sql_tpch_{q}"] = round(time.time() - t0, 3)
 
     # raw big×big exchange: lineitem ⋈ orders through shuffle_join
-    # ('auto' routes to the task-based bucket exchange at this scale;
-    # measures the engine's big-join floor now that Q3's adaptive plan
+    # (measures the engine's big-join floor now that Q3's adaptive plan
     # avoids the shuffle entirely)
     from recon_ray.functions.relational import shuffle_join
 

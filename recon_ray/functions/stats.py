@@ -40,19 +40,19 @@ def _partial_label_counts(batch: pa.Table) -> pa.Table:
     return t.rename_columns(["label", "partial"])
 
 
-def label_counts(mentions_ds, descending: bool = True):
+def label_counts(mentions_ds):
     """(label, count) sorted by count desc, label asc."""
     partial = mentions_ds.select_columns(["label"]).map_batches(
         _partial_label_counts, batch_format="pyarrow", zero_copy_batch=True
     )
     out = partial.groupby("label").aggregate(Sum("partial", alias_name="count"))
-    # tiny result; deterministic ordering done driver-side
-    df = out.to_pandas()
+    # tiny result; deterministic ordering done driver-side. Ray's groupby
+    # over no rows returns a frame with no columns, hence the reindex.
+    df = out.to_pandas().reindex(columns=["label", "count"])
     df = df.sort_values(
-        ["count", "label"], ascending=[not descending, True], kind="mergesort"
+        ["count", "label"], ascending=[False, True], kind="mergesort"
     ).reset_index(drop=True)
-    df["count"] = df["count"].astype("int64")
-    return df
+    return df.astype({"label": object, "count": "int64"})
 
 
 def ner_stats(docs_ds) -> dict:

@@ -17,7 +17,9 @@ driver compare IS the P/R-vs-reference gate.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pandas as pd
@@ -6111,789 +6113,11 @@ FROM p GROUP BY path ORDER BY n_users DESC, path LIMIT 10
 """
 
 
-SQL_FRONTEND_EVENTS = (
-    "SELECT event_type, count(*) AS n, count(user_id) AS cu, "
-    "cast(sum(user_id) AS bigint) AS su, "
-    "min(user_id) AS min_u, max(user_id) AS max_u "
-    "FROM events WHERE user_id >= 2 AND event_type <> 'error' "
-    "GROUP BY event_type ORDER BY event_type"
-)
-
-SQL_FRONTEND_ORDERS = (
-    "SELECT o_orderstatus, count(*) AS n, min(o_orderkey) AS first_key "
-    "FROM orders WHERE o_totalprice >= 1000 "
-    "GROUP BY o_orderstatus ORDER BY n DESC, o_orderstatus LIMIT 3"
-)
-
-
-SQL_FRONTEND_LINEITEM = (
-    "SELECT l_linestatus, count(*) AS n, "
-    "count(distinct l_orderkey) AS n_orders "
-    "FROM lineitem WHERE l_quantity >= 10 "
-    "GROUP BY l_linestatus HAVING n >= 100 ORDER BY l_linestatus"
-)
-
-
-SQL_FRONTEND_JOIN = (
-    "SELECT c_mktsegment, o_orderpriority, count(*) AS n, "
-    "count(DISTINCT o_custkey) AS n_cust, "
-    "min(o_totalprice) AS p_min, max(o_totalprice) AS p_max "
-    "FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey "
-    "WHERE o_orderstatus IN ('F', 'O') "
-    "GROUP BY c_mktsegment, o_orderpriority "
-    "ORDER BY c_mktsegment, o_orderpriority"
-)
-
-SQL_FRONTEND_LEFT_JOIN = (
-    "SELECT c_mktsegment, count(o_orderkey) AS n_orders, "
-    "count(*) AS n_rows "
-    "FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey "
-    "GROUP BY c_mktsegment ORDER BY c_mktsegment"
-)
-
-
-SQL_FRONTEND_WINDOW = (
-    "SELECT user_id, event_id, "
-    "row_number() OVER (PARTITION BY user_id ORDER BY event_id) AS rn, "
-    "rank() OVER (PARTITION BY user_id ORDER BY event_id) AS rk, "
-    "lag(event_id) OVER (PARTITION BY user_id ORDER BY event_id) "
-    "AS prev_id, "
-    "ntile(4) OVER (PARTITION BY user_id ORDER BY event_id) AS quartile "
-    "FROM events ORDER BY user_id, event_id"
-)
-
-
-def q_sql_frontend_window(sf_dir: str):
-    """SQL front-end window functions under the gate: the identical
-    string compiles to one window_over hash-shuffle pass in the engine
-    and runs natively in DuckDB — row numbering, ranking, lag NULLs at
-    partition edges and NTILE tile arithmetic all sit under the hash
-    (event_id is unique per partition, the documented total-order
-    contract)."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_WINDOW, {"events": _t(sf_dir, "events")})
-
-
-SQL_FRONTEND_SUBQUERY = (
-    "SELECT o_orderstatus, count(*) AS n, min(o_orderkey) AS k_min "
-    "FROM orders WHERE o_totalprice >= 500 AND o_custkey IN "
-    "(SELECT c_custkey FROM customer WHERE c_acctbal BETWEEN 100 AND "
-    "5000) GROUP BY o_orderstatus ORDER BY o_orderstatus"
-)
-
-
-SQL_FRONTEND_FILTER = (
-    "SELECT o_orderpriority, "
-    "count(*) FILTER (WHERE o_orderstatus = 'F') AS n_f, "
-    "count(*) FILTER (WHERE o_totalprice >= 1000) AS n_big, "
-    "min(o_totalprice) FILTER (WHERE o_orderstatus = 'O') AS p_min_o, "
-    "count(*) AS n "
-    "FROM orders GROUP BY o_orderpriority ORDER BY o_orderpriority"
-)
-
-
-def q_sql_frontend_filter(sf_dir: str):
-    """agg(...) FILTER (WHERE ...) under the gate (TPC-H Q12's
-    conditional-count shape without CASE): each filtered aggregate gets
-    its own masked combiner partials in the same single pass; DuckDB
-    runs the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_FILTER, {"orders": _t(sf_dir, "orders")})
-
-
-SQL_FRONTEND_BOOL = (
-    "SELECT o_orderpriority, count(*) AS n, min(o_orderkey) AS k_min "
-    "FROM orders "
-    "WHERE NOT (o_orderstatus = 'F' OR o_totalprice < 100000) "
-    "OR o_orderpriority = '1-URGENT' "
-    "GROUP BY o_orderpriority ORDER BY o_orderpriority"
-)
-
-
-def q_sql_frontend_bool(sf_dir: str):
-    """OR / NOT predicate trees under the gate: the WHERE compiles to
-    one pyarrow mask with Kleene three-valued logic (and_kleene /
-    or_kleene / invert, UNKNOWN excluded at the top); DuckDB runs the
-    identical string. Integer-exact outputs keep the hash strict."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_BOOL, {"orders": _t(sf_dir, "orders")})
-
-
-SQL_FRONTEND_EXPR = (
-    "SELECT l_returnflag, sum(l_quantity) AS sum_qty, "
-    "sum(l_quantity * (1 + l_linenumber)) AS w_qty, "
-    "max(l_quantity * 2 - 1) AS mq, count(*) AS n "
-    "FROM lineitem WHERE l_quantity BETWEEN 5 AND 45 "
-    "GROUP BY l_returnflag ORDER BY l_returnflag"
-)
-
-
-def q_sql_frontend_expr(sf_dir: str):
-    """Arithmetic expression aggregates under the gate (TPC-H Q1's
-    sum-of-products shape): each expression materializes as a hidden
-    vectorized derive column feeding the same combiner pass. The
-    operands here are integer-valued doubles, so the sums are EXACT in
-    float64 and hash-identical to DuckDB — the float-product TPC-H Q1/
-    Q6 verbatim strings are tolerance-checked in pytest instead
-    (double accumulation order differs between engines)."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_EXPR,
-                   {"lineitem": _t(sf_dir, "lineitem")})
-
-
-SQL_FRONTEND_TPCH_Q1 = (
-    "SELECT l_returnflag, l_linestatus, "
-    "round(sum(l_quantity), 2) AS sum_qty, "
-    "round(sum(cast(round(l_extendedprice * 100) AS bigint)) / 100.0, "
-    "2) AS sum_base_price, "
-    "round(sum(cast(round(l_extendedprice * 100) AS bigint) * "
-    "(100 - cast(round(l_discount * 100) AS bigint))) / 10000.0, 2) "
-    "AS sum_disc_price, "
-    "round(sum(cast(round(l_extendedprice * 100) AS bigint) * "
-    "(100 - cast(round(l_discount * 100) AS bigint)) * "
-    "(100 + cast(round(l_tax * 100) AS bigint))) / 1000000.0, 2) "
-    "AS sum_charge, "
-    "round(sum(l_quantity) / count(*), 6) AS avg_qty, "
-    "round(sum(cast(round(l_discount * 100) AS bigint)) / 100.0 / "
-    "count(*), 6) AS avg_disc, "
-    "count(*) AS count_order "
-    "FROM lineitem WHERE l_shipdate <= timestamp '2000-09-02' "
-    "GROUP BY l_returnflag, l_linestatus "
-    "ORDER BY l_returnflag, l_linestatus"
-)
-
-
-SQL_FRONTEND_TUMBLING = (
-    "SELECT time_bucket(INTERVAL '6 hours', ts) AS window_start, "
-    "event_type, count(*) AS n_events, "
-    "round(sum(value), 2) AS total_value "
-    "FROM events GROUP BY window_start, event_type "
-    "ORDER BY window_start, event_type"
-)
-
-
-def q_sql_frontend_tumbling_6h(sf_dir: str):
-    """Tumbling-window aggregate THROUGH the SQL front-end:
-    time_bucket(INTERVAL 'N unit', ts) compiles to a temporal derive
-    column (bucket widths must divide a day, so the epoch origin and
-    DuckDB's 2000-01-01 origin agree) feeding the combiner groupby —
-    the identical string runs in DuckDB as the oracle."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TUMBLING,
-                   {"events": _t(sf_dir, "events")})
-
-
-def q_sql_frontend_tpch_q1(sf_dir: str):
-    """TPC-H Q1 in integer-cents form under the hash gate — the SAME
-    string the handwritten q1 pipeline's oracle uses (ORACLE_Q1), now
-    compiled and executed by the engine itself. The cents expressions
-    (cast(round(price * 100) as bigint) products) materialize as int64
-    derive columns whose sums stay EXACT past float64's 2^53, the
-    round(sum(...) / 10^k, 2) outer layer is a post-aggregate
-    expression on the groups-sized result, and the rounding mirrors
-    DuckDB operation-for-operation — so the hash matches bit-exactly
-    where the raw-float Q1 cannot (accumulation-order drift;
-    tests/test_sql_frontend.py::test_tpch_q1_q6_verbatim covers that
-    form with tolerance)."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q1,
-                   {"lineitem": _t(sf_dir, "lineitem")})
-
-
 _CENTS_REV = (
     "round(sum(cast(round(l_extendedprice * 100) AS bigint) * "
     "(100 - cast(round(l_discount * 100) AS bigint))) / 10000.0, 2)"
 )
 
-SQL_FRONTEND_TPCH_Q3 = (
-    "SELECT l_orderkey, o_orderdate, " + _CENTS_REV + " AS revenue "
-    "FROM customer "
-    "JOIN orders ON customer.c_custkey = orders.o_custkey "
-    "JOIN lineitem ON lineitem.l_orderkey = orders.o_orderkey "
-    "WHERE c_mktsegment = 'BUILDING' "
-    "GROUP BY l_orderkey, o_orderdate "
-    "ORDER BY revenue DESC, l_orderkey LIMIT 10"
-)
-
-
-def q_sql_frontend_tpch_q3(sf_dir: str):
-    """TPC-H Q3 (cents form) under the gate: the same string the
-    handwritten q3 pipeline's oracle uses, compiled by the front-end —
-    two chained shuffle_joins, the cents product as an int64 hidden
-    derive, the revenue rounding as a post-aggregate expression, and a
-    fully-tiebroken top-10 (revenue DESC, then l_orderkey)."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q3,
-                   {"customer": _t(sf_dir, "customer"),
-                    "orders": _t(sf_dir, "orders"),
-                    "lineitem": _t(sf_dir, "lineitem")})
-
-
-SQL_FRONTEND_TPCH_Q5 = (
-    "SELECT r_name, n_name, " + _CENTS_REV + " AS revenue, "
-    "count(*) AS n_items "
-    "FROM lineitem "
-    "JOIN orders ON lineitem.l_orderkey = orders.o_orderkey "
-    "JOIN customer ON orders.o_custkey = customer.c_custkey "
-    "JOIN nation ON customer.c_nationkey = nation.n_nationkey "
-    "JOIN region ON nation.n_regionkey = region.r_regionkey "
-    "GROUP BY r_name, n_name ORDER BY r_name, n_name"
-)
-
-
-def q_sql_frontend_tpch_q5(sf_dir: str):
-    """TPC-H Q5 (cents form) under the gate: a four-join left-deep
-    chain (lineitem→orders→customer→nation→region) compiled to chained
-    hash shuffle_joins, nation-level revenue hash-exact."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q5,
-                   {"lineitem": _t(sf_dir, "lineitem"),
-                    "orders": _t(sf_dir, "orders"),
-                    "customer": _t(sf_dir, "customer"),
-                    "nation": _t(sf_dir, "nation"),
-                    "region": _t(sf_dir, "region")})
-
-
-SQL_FRONTEND_TPCH_Q6 = (
-    "SELECT round(sum(cast(round(l_extendedprice * 100) AS bigint) * "
-    "cast(round(l_discount * 100) AS bigint)) / 10000.0, 2) AS revenue "
-    "FROM lineitem "
-    "WHERE l_shipdate >= date '1996-01-01' "
-    "AND l_shipdate < date '1997-01-01' "
-    "AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24"
-)
-
-
-def q_sql_frontend_tpch_q6(sf_dir: str):
-    """TPC-H Q6 (cents form) under the gate: pure pyarrow filter (date
-    window + BETWEEN + comparison) into one global cents aggregate —
-    no shuffle at all, hash-exact."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q6,
-                   {"lineitem": _t(sf_dir, "lineitem")})
-
-
-SQL_FRONTEND_TPCH_Q10 = (
-    "SELECT c_custkey, c_name, n_name, " + _CENTS_REV + " AS revenue "
-    "FROM customer "
-    "JOIN orders ON customer.c_custkey = orders.o_custkey "
-    "JOIN lineitem ON lineitem.l_orderkey = orders.o_orderkey "
-    "JOIN nation ON customer.c_nationkey = nation.n_nationkey "
-    "WHERE l_returnflag = 'R' AND o_orderdate >= date '1996-01-01' "
-    "AND o_orderdate < date '1997-01-01' "
-    "GROUP BY c_custkey, c_name, n_name "
-    "ORDER BY revenue DESC, c_custkey LIMIT 20"
-)
-
-
-def q_sql_frontend_tpch_q10(sf_dir: str):
-    """TPC-H Q10 (returned-item revenue, cents form) under the gate:
-    three joins, a post-join WHERE mixing a string equality with a
-    temporal window, per-customer revenue, deterministic top-20
-    (revenue DESC then c_custkey)."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q10,
-                   {"customer": _t(sf_dir, "customer"),
-                    "orders": _t(sf_dir, "orders"),
-                    "lineitem": _t(sf_dir, "lineitem"),
-                    "nation": _t(sf_dir, "nation")})
-
-
-SQL_FRONTEND_TPCH_Q4 = (
-    "SELECT o_orderpriority, count(*) AS order_count "
-    "FROM orders "
-    "WHERE o_orderdate >= date '1996-01-01' "
-    "AND o_orderdate < date '1996-10-01' "
-    "AND o_orderkey IN "
-    "(SELECT l_orderkey FROM lineitem WHERE l_quantity >= 48) "
-    "GROUP BY o_orderpriority ORDER BY o_orderpriority"
-)
-
-
-def q_sql_frontend_tpch_q4(sf_dir: str):
-    """TPC-H Q4 under the gate, EXISTS expressed as the equivalent IN
-    subquery (the synthetic lineitem has no commit/receipt dates, so
-    the 'late line' predicate becomes a quantity threshold): temporal
-    window filter, hash semi-join against the filtered lineitem keys,
-    priority counts."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q4,
-                   {"orders": _t(sf_dir, "orders"),
-                    "lineitem": _t(sf_dir, "lineitem")})
-
-
-SQL_FRONTEND_TPCH_Q19 = (
-    "SELECT " + _CENTS_REV + " AS revenue "
-    "FROM lineitem "
-    "JOIN part ON part.p_partkey = lineitem.l_partkey "
-    "WHERE (p_brand = 'Brand#12' AND l_quantity BETWEEN 1 AND 11 "
-    "AND p_size BETWEEN 1 AND 5) "
-    "OR (p_brand = 'Brand#23' AND l_quantity BETWEEN 10 AND 20 "
-    "AND p_size BETWEEN 1 AND 10) "
-    "OR (p_brand = 'Brand#34' AND l_quantity BETWEEN 20 AND 30 "
-    "AND p_size BETWEEN 1 AND 15)"
-)
-
-
-def q_sql_frontend_tpch_q19(sf_dir: str):
-    """TPC-H Q19 under the gate (container/shipmode predicates dropped
-    — those columns don't exist in the synthetic part/lineitem): the
-    classic disjunction-of-conjunctions WHERE compiles to ONE pyarrow
-    Kleene or_/and_ mask over the joined stream, then the cents
-    revenue aggregate — hash-exact."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q19,
-                   {"lineitem": _t(sf_dir, "lineitem"),
-                    "part": _t(sf_dir, "part")})
-
-
-SQL_FRONTEND_TPCH_Q14 = (
-    "SELECT round(100.0 * sum(CASE WHEN p_type LIKE 'PROMO%' THEN "
-    "cast(round(l_extendedprice * 100) AS bigint) * "
-    "(100 - cast(round(l_discount * 100) AS bigint)) ELSE 0 END) / "
-    "sum(cast(round(l_extendedprice * 100) AS bigint) * "
-    "(100 - cast(round(l_discount * 100) AS bigint))), 6) "
-    "AS promo_revenue "
-    "FROM lineitem JOIN part ON part.p_partkey = lineitem.l_partkey "
-    "WHERE l_shipdate >= date '1996-09-01' "
-    "AND l_shipdate < date '1996-10-01'"
-)
-
-
-def q_sql_frontend_tpch_q14(sf_dir: str):
-    """TPC-H Q14 (promotion-revenue ratio, cents form) under the gate:
-    sum(CASE WHEN p_type LIKE 'PROMO%' THEN cents ELSE 0 END) over the
-    joined stream — CASE excised into the expression AST, evaluated as
-    an int64 derive column — divided by the plain cents sum in a
-    post-aggregate expression; both sums exact, rounding
-    DuckDB-mirrored, hash-exact."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q14,
-                   {"lineitem": _t(sf_dir, "lineitem"),
-                    "part": _t(sf_dir, "part")})
-
-
-SQL_FRONTEND_TPCH_Q18 = (
-    "SELECT c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice, "
-    "sum(l_quantity) AS total_qty "
-    "FROM customer "
-    "JOIN orders ON customer.c_custkey = orders.o_custkey "
-    "JOIN lineitem ON lineitem.l_orderkey = orders.o_orderkey "
-    "WHERE o_orderkey IN (SELECT l_orderkey FROM lineitem "
-    "GROUP BY l_orderkey HAVING sum(l_quantity) > 300) "
-    "GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice "
-    "ORDER BY o_totalprice DESC, o_orderkey LIMIT 100"
-)
-
-
-def q_sql_frontend_tpch_q18(sf_dir: str):
-    """TPC-H Q18 (large-volume customers) under the gate: the IN
-    subquery is itself an aggregated query (GROUP BY + HAVING on a raw
-    sum) planned recursively, its groups-sized key set semi-joined
-    back into the customer x orders x lineitem chain; quantity sums
-    are integer-valued doubles, so everything is hash-exact. The
-    clause splitter is paren-aware — the inner GROUP BY/HAVING lives
-    inside the subquery parens."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q18,
-                   {"customer": _t(sf_dir, "customer"),
-                    "orders": _t(sf_dir, "orders"),
-                    "lineitem": _t(sf_dir, "lineitem")})
-
-
-SQL_FRONTEND_TPCH_Q13 = (
-    "SELECT c_count, count(*) AS custdist FROM "
-    "(SELECT c_custkey, count(o_orderkey) AS c_count FROM customer "
-    "LEFT JOIN orders ON customer.c_custkey = orders.o_custkey "
-    "GROUP BY c_custkey) c_orders "
-    "GROUP BY c_count ORDER BY custdist DESC, c_count DESC"
-)
-
-
-def q_sql_frontend_tpch_q13(sf_dir: str):
-    """TPC-H Q13 (customer order-count distribution) under the gate:
-    the FROM is a DERIVED TABLE — the inner per-customer LEFT-join
-    count plans recursively (groups-sized result), re-enters as an
-    in-memory base, and the outer distribution groups over it.
-    Integer counts throughout — hash-exact."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q13,
-                   {"customer": _t(sf_dir, "customer"),
-                    "orders": _t(sf_dir, "orders")})
-
-
-SQL_FRONTEND_TPCH_Q15 = (
-    "WITH revenue AS (SELECT l_suppkey AS supplier_no, "
-    "round(sum(cast(round(l_extendedprice * 100) AS bigint) * "
-    "(100 - cast(round(l_discount * 100) AS bigint))) / 10000.0, 2) "
-    "AS total_revenue FROM lineitem "
-    "WHERE l_shipdate >= date '1996-01-01' "
-    "AND l_shipdate < date '1996-04-01' "
-    "GROUP BY l_suppkey) "
-    "SELECT s_suppkey, s_name, total_revenue "
-    "FROM supplier JOIN revenue ON supplier.s_suppkey = "
-    "revenue.supplier_no "
-    "WHERE total_revenue = (SELECT max(total_revenue) FROM revenue) "
-    "ORDER BY s_suppkey"
-)
-
-
-def q_sql_frontend_tpch_q15(sf_dir: str):
-    """TPC-H Q15 (top supplier, cents form) under the gate: the
-    revenue CTE plans once and registers as an in-memory result-sized
-    table, the scalar subquery takes its max over the SAME registered
-    frame (no recompute), and the equality filter + supplier join
-    resolve against exact cents-derived doubles — hash-exact."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q15,
-                   {"lineitem": _t(sf_dir, "lineitem"),
-                    "supplier": _t(sf_dir, "supplier")})
-
-
-SQL_FRONTEND_TPCH_Q17 = (
-    "WITH pa AS (SELECT l_partkey AS pkey, "
-    "round(0.2 * sum(l_quantity) / count(*), 6) AS qty_limit "
-    "FROM lineitem GROUP BY l_partkey) "
-    "SELECT round(sum(cast(round(l_extendedprice * 100) AS bigint)) "
-    "/ 100.0 / 7.0, 2) AS avg_yearly "
-    "FROM lineitem JOIN pa ON pa.pkey = lineitem.l_partkey "
-    "WHERE l_quantity < qty_limit"
-)
-
-
-def q_sql_frontend_tpch_q17(sf_dir: str):
-    """TPC-H Q17 (small-quantity-order revenue) under the gate, the
-    correlated subquery decorrelated into a per-part CTE (the standard
-    rewrite): per-part 20%%-of-average limits from one grouped pass,
-    joined back, with a COLUMN-TO-COLUMN comparison (l_quantity <
-    qty_limit) in the post-join WHERE; quantity sums exact, limits
-    identical doubles in both engines — hash-exact."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q17,
-                   {"lineitem": _t(sf_dir, "lineitem")})
-
-
-SQL_FRONTEND_TPCH_Q7 = (
-    "WITH n1 AS (SELECT DISTINCT n_nationkey AS n1_key, "
-    "n_name AS supp_nation FROM nation), "
-    "n2 AS (SELECT DISTINCT n_nationkey AS n2_key, "
-    "n_name AS cust_nation FROM nation) "
-    "SELECT supp_nation, cust_nation, "
-    "extract(year from l_shipdate) AS l_year, "
-    + _CENTS_REV + " AS revenue, count(*) AS n_items "
-    "FROM supplier "
-    "JOIN lineitem ON supplier.s_suppkey = lineitem.l_suppkey "
-    "JOIN orders ON lineitem.l_orderkey = orders.o_orderkey "
-    "JOIN customer ON orders.o_custkey = customer.c_custkey "
-    "JOIN n1 ON supplier.s_nationkey = n1.n1_key "
-    "JOIN n2 ON customer.c_nationkey = n2.n2_key "
-    "WHERE ((supp_nation = 'NATION_3' AND cust_nation = 'NATION_8') "
-    "OR (supp_nation = 'NATION_8' AND cust_nation = 'NATION_3')) "
-    "AND l_shipdate >= '1995-01-01' AND l_shipdate <= '1996-12-31' "
-    "GROUP BY supp_nation, cust_nation, l_year "
-    "ORDER BY supp_nation, cust_nation, l_year"
-)
-
-
-def q_sql_frontend_tpch_q7(sf_dir: str):
-    """TPC-H Q7 (volume shipping between two nations) under the gate.
-    The classic self-join of nation is expressed as two DISTINCT
-    column-renaming CTEs (the engine's result-sized CTE rule; nation
-    keys are unique so DISTINCT is a no-op), joined into a FIVE-table
-    left-deep chain, with the symmetric (supp, cust) OR condition in
-    the post-join WHERE and extract(year) as a GROUP BY key. Revenue
-    in exact integer cents — hash-exact vs DuckDB on the identical
-    string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q7, {
-        "nation": _t(sf_dir, "nation"),
-        "supplier": _t(sf_dir, "supplier"),
-        "lineitem": _t(sf_dir, "lineitem"),
-        "orders": _t(sf_dir, "orders"),
-        "customer": _t(sf_dir, "customer"),
-    })
-
-
-SQL_FRONTEND_TPCH_Q8 = (
-    "WITH n1 AS (SELECT DISTINCT n_nationkey AS n1_key, "
-    "n_regionkey AS n1_rkey FROM nation), "
-    "n2 AS (SELECT DISTINCT n_nationkey AS n2_key, "
-    "n_name AS supp_nation FROM nation) "
-    "SELECT extract(year from o_orderdate) AS o_year, "
-    "round(sum(CASE WHEN supp_nation = 'NATION_8' THEN "
-    "cast(round(l_extendedprice * 100) AS bigint) * "
-    "(100 - cast(round(l_discount * 100) AS bigint)) ELSE 0 END) "
-    "* 1.0 / sum(cast(round(l_extendedprice * 100) AS bigint) * "
-    "(100 - cast(round(l_discount * 100) AS bigint))), 6) AS mkt_share "
-    "FROM part "
-    "JOIN lineitem ON part.p_partkey = lineitem.l_partkey "
-    "JOIN supplier ON lineitem.l_suppkey = supplier.s_suppkey "
-    "JOIN orders ON lineitem.l_orderkey = orders.o_orderkey "
-    "JOIN customer ON orders.o_custkey = customer.c_custkey "
-    "JOIN n1 ON customer.c_nationkey = n1.n1_key "
-    "JOIN region ON n1.n1_rkey = region.r_regionkey "
-    "JOIN n2 ON supplier.s_nationkey = n2.n2_key "
-    "WHERE r_name = 'ASIA' AND p_type = 'ECONOMY' "
-    "AND o_orderdate >= '1995-01-01' AND o_orderdate <= '1996-12-31' "
-    "GROUP BY o_year ORDER BY o_year"
-)
-
-
-def q_sql_frontend_tpch_q8(sf_dir: str):
-    """TPC-H Q8 (national market share) under the gate: a SEVEN-table
-    left-deep join chain (part, lineitem, supplier, orders, customer,
-    both nation roles via renaming CTEs, region), a conditional
-    aggregate (CASE inside sum) over exact integer-cent volumes, and
-    a post-aggregate share division rounded to 6 places — both
-    engines divide the identical exact integers, so the quotient is
-    the identical double. Hash-exact vs DuckDB."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q8, {
-        "nation": _t(sf_dir, "nation"),
-        "region": _t(sf_dir, "region"),
-        "part": _t(sf_dir, "part"),
-        "supplier": _t(sf_dir, "supplier"),
-        "lineitem": _t(sf_dir, "lineitem"),
-        "orders": _t(sf_dir, "orders"),
-        "customer": _t(sf_dir, "customer"),
-    })
-
-
-SQL_FRONTEND_TPCH_Q9 = (
-    "SELECT n_name, extract(year from o_orderdate) AS o_year, "
-    + _CENTS_REV + " AS sum_profit "
-    "FROM part "
-    "JOIN lineitem ON part.p_partkey = lineitem.l_partkey "
-    "JOIN supplier ON lineitem.l_suppkey = supplier.s_suppkey "
-    "JOIN orders ON lineitem.l_orderkey = orders.o_orderkey "
-    "JOIN nation ON supplier.s_nationkey = nation.n_nationkey "
-    "WHERE p_name LIKE '%gear%' "
-    "GROUP BY n_name, o_year ORDER BY n_name, o_year DESC"
-)
-
-
-def q_sql_frontend_tpch_q9(sf_dir: str):
-    """TPC-H Q9 (product-type profit by nation and year) under the
-    gate, adapted to the schema: the synthetic tables carry no
-    partsupp/ps_supplycost, so profit reduces to discounted revenue
-    (exact integer cents). Substring LIKE on p_name at the scan,
-    five-table chain, extract(year) GROUP BY key, ORDER BY with a
-    DESC component. Hash-exact vs DuckDB on the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q9, {
-        "nation": _t(sf_dir, "nation"),
-        "part": _t(sf_dir, "part"),
-        "supplier": _t(sf_dir, "supplier"),
-        "lineitem": _t(sf_dir, "lineitem"),
-        "orders": _t(sf_dir, "orders"),
-    })
-
-
-SQL_FRONTEND_TPCH_Q12 = (
-    "SELECT l_returnflag, "
-    "cast(sum(CASE WHEN o_orderpriority = '1-URGENT' "
-    "OR o_orderpriority = '2-HIGH' THEN 1 ELSE 0 END) AS bigint) "
-    "AS high_line_count, "
-    "cast(sum(CASE WHEN o_orderpriority <> '1-URGENT' "
-    "AND o_orderpriority <> '2-HIGH' THEN 1 ELSE 0 END) AS bigint) "
-    "AS low_line_count "
-    "FROM orders JOIN lineitem ON orders.o_orderkey = lineitem.l_orderkey "
-    "WHERE l_shipdate >= '1996-01-01' AND l_shipdate < '1997-01-01' "
-    "GROUP BY l_returnflag ORDER BY l_returnflag"
-)
-
-
-def q_sql_frontend_tpch_q12(sf_dir: str):
-    """TPC-H Q12 (shipping-priority line counts) under the gate,
-    adapted: the synthetic lineitem has no l_shipmode/commit/receipt
-    dates, so the priority-class CASE counts group by l_returnflag
-    over a ship-date year — the same two complementary conditional
-    aggregates over one join. Integer counts hash exactly."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q12, {
-        "orders": _t(sf_dir, "orders"),
-        "lineitem": _t(sf_dir, "lineitem"),
-    })
-
-
-SQL_FRONTEND_TPCH_Q21 = (
-    "SELECT s_name, count(*) AS numwait "
-    "FROM supplier JOIN lineitem ON supplier.s_suppkey = lineitem.l_suppkey "
-    "WHERE l_returnflag = 'R' AND l_orderkey IN "
-    "(SELECT l_orderkey FROM lineitem GROUP BY l_orderkey "
-    "HAVING count(DISTINCT l_suppkey) > 1) "
-    "GROUP BY s_name ORDER BY numwait DESC, s_name LIMIT 20"
-)
-
-
-def q_sql_frontend_tpch_q21(sf_dir: str):
-    """TPC-H Q21 (suppliers who kept orders waiting) under the gate,
-    adapted: without commit/receipt dates the correlated EXISTS pair
-    becomes its set-semantics core — returned ('R') lineitems on
-    MULTI-SUPPLIER orders, via an aggregated IN-subquery whose HAVING
-    uses exact count(DISTINCT). The subquery's distinct-supplier
-    count runs as the bucketed distinct pass; the probe is a shuffle
-    semi-join. DESC count with s_name tie-break keeps the LIMIT page
-    total-ordered — hash-exact."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q21, {
-        "supplier": _t(sf_dir, "supplier"),
-        "lineitem": _t(sf_dir, "lineitem"),
-    })
-
-
-SQL_FRONTEND_TPCH_Q22 = (
-    "SELECT substring(c_name, 18, 1) AS cntrycode, count(*) AS numcust, "
-    "cast(sum(cast(round(c_acctbal * 100) AS bigint)) AS bigint) "
-    "AS totacctbal_c "
-    "FROM customer "
-    "WHERE substring(c_name, 18, 1) IN ('0', '1', '2', '3', '4') "
-    "AND c_acctbal > (SELECT avg(c_acctbal) FROM customer "
-    "WHERE c_acctbal > 0.0) "
-    "AND c_custkey NOT IN (SELECT o_custkey FROM orders "
-    "WHERE o_orderstatus = 'F') "
-    "GROUP BY cntrycode ORDER BY cntrycode"
-)
-
-
-def q_sql_frontend_tpch_q22(sf_dir: str):
-    """TPC-H Q22 (global sales opportunity) under the gate, adapted:
-    the synthetic customer has no c_phone, so the country code is a
-    substring of c_name (the last key digit) — a STRING-FUNCTION
-    predicate LHS and GROUP BY key. Keeps all three Q22 mechanisms:
-    the substring IN-list, the scalar-aggregate subquery threshold
-    (avg over positive balances; both engines compare the identical
-    double), and NOT IN an uncorrelated subquery (customers with no
-    'F'-status orders — the no-orders-at-all form is empty at every
-    sf because every customer orders). Account balances summed in
-    exact cents — hash-exact."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TPCH_Q22, {
-        "customer": _t(sf_dir, "customer"),
-        "orders": _t(sf_dir, "orders"),
-    })
-
-
-SQL_FRONTEND_FULL_JOIN = (
-    "WITH hc AS (SELECT c_nationkey AS nk_c, count(*) AS n_cust, "
-    "cast(sum(cast(round(c_acctbal * 100) AS bigint)) AS bigint) "
-    "AS cust_bal_c "
-    "FROM customer WHERE c_acctbal > 9000 GROUP BY c_nationkey), "
-    "hs AS (SELECT s_nationkey AS nk_s, count(*) AS n_supp "
-    "FROM supplier WHERE s_acctbal > 5000 GROUP BY s_nationkey) "
-    "SELECT nk_c, nk_s, n_cust, n_supp, cust_bal_c "
-    "FROM hc FULL OUTER JOIN hs ON hc.nk_c = hs.nk_s "
-    "ORDER BY nk_c, nk_s"
-)
-
-
-def q_sql_frontend_full_join(sf_dir: str):
-    """FULL OUTER JOIN under the gate: per-nation high-balance
-    customer and supplier rollups (aggregated CTEs) full-joined on
-    nation key — nations rich on only one side genuinely exercise
-    both preserved directions (each side's key column NULL on the
-    other side's rows, which is why the engine joins on renamed
-    copies of BOTH keys: Ray/Acero would otherwise coalesce them).
-    Balances in exact cents — hash-exact vs DuckDB."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_FULL_JOIN, {
-        "customer": _t(sf_dir, "customer"),
-        "supplier": _t(sf_dir, "supplier"),
-    })
-
-
-SQL_FRONTEND_RIGHT_JOIN = (
-    "WITH hs AS (SELECT s_nationkey AS nk, count(*) AS n_high, "
-    "cast(sum(cast(round(s_acctbal * 100) AS bigint)) AS bigint) "
-    "AS bal_c "
-    "FROM supplier WHERE s_acctbal > 8000 GROUP BY s_nationkey) "
-    "SELECT n_name, n_high, bal_c FROM hs "
-    "RIGHT JOIN nation ON hs.nk = nation.n_nationkey "
-    "ORDER BY n_name"
-)
-
-
-def q_sql_frontend_right_join(sf_dir: str):
-    """RIGHT [OUTER] JOIN under the gate: every nation survives with
-    NULL rollup columns where no high-balance supplier exists — at
-    sf0.001 the left side is provably EMPTY and the planner resolves
-    it (NULL-pads the preserved right side) without running a join at
-    all, the same short-circuit that guards Ray's no-schema-on-empty
-    hazard. Hash-exact vs DuckDB."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_RIGHT_JOIN, {
-        "supplier": _t(sf_dir, "supplier"),
-        "nation": _t(sf_dir, "nation"),
-    })
-
-
-SQL_FRONTEND_SETOPS = (
-    "SELECT o_orderpriority FROM orders WHERE o_orderstatus = 'F' "
-    "INTERSECT "
-    "SELECT o_orderpriority FROM orders WHERE o_totalprice > 200000 "
-    "ORDER BY o_orderpriority"
-)
-
-
-def q_sql_frontend_setops(sf_dir: str):
-    """INTERSECT under the gate: two filtered projections of the same
-    table, set semantics with SQL's NULLs-are-equal rule, the trailing
-    ORDER BY binding the whole chain; DuckDB runs the identical
-    string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_SETOPS,
-                   {"orders": _t(sf_dir, "orders")})
-
-
-SQL_FRONTEND_ROLLUP = (
-    "SELECT o_orderpriority, o_orderstatus, count(*) AS n, "
-    "min(o_orderkey) AS k_min "
-    "FROM orders GROUP BY ROLLUP(o_orderpriority, o_orderstatus) "
-    "ORDER BY o_orderpriority, o_orderstatus, n"
-)
-
-
-def q_sql_frontend_rollup(sf_dir: str):
-    """GROUP BY ROLLUP under the gate: subtotal levels recompose from
-    the finest level's combiner partials (one input pass total), with
-    SQL-NULL subtotal keys; DuckDB runs the identical string.
-    Integer-exact outputs keep the hash strict."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_ROLLUP, {"orders": _t(sf_dir, "orders")})
-
-
-SQL_FRONTEND_STDDEV = (
-    "SELECT lang, count(n_chars) AS n, stddev_samp(n_chars) AS sd, "
-    "var_pop(n_chars) AS vp "
-    "FROM documents GROUP BY lang ORDER BY lang"
-)
 
 # The oracle spells the engine's exact two-pass formula — (Σx², Σx, n)
 # partials, then (q − s·s/n, floored at 0) / (n or n−1) in that op
@@ -6912,60 +6136,6 @@ SELECT lang, count(n_chars) AS n,
 FROM documents GROUP BY lang ORDER BY lang
 """
 
-
-def q_sql_frontend_stddev(sf_dir: str):
-    """stddev_samp / var_pop under the gate: one extra sum-of-squares
-    partial rides the existing combiner (no second shuffle), and the
-    two-pass recomposition (q − s·s/n)/(n or n−1) is bit-for-bit
-    reproducible against an oracle spelling the same formula over
-    exact integer sums."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_STDDEV,
-                   {"documents": _t(sf_dir, "documents")})
-
-
-SQL_FRONTEND_UNPIVOT = (
-    "UNPIVOT part ON p_size, p_retailprice INTO NAME metric VALUE val"
-)
-
-
-def q_sql_frontend_unpivot(sf_dir: str):
-    """DuckDB's UNPIVOT statement form under the gate — per-batch melt
-    (no shuffle, no state), every non-listed column rides as an id,
-    NULL cells drop, mixed numeric columns coerce to double in both
-    engines. DuckDB runs the identical statement."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_UNPIVOT, {"part": _t(sf_dir, "part")})
-
-
-SQL_FRONTEND_PIVOT = (
-    "PIVOT events ON event_type USING count(value) "
-    "GROUP BY user_id ORDER BY user_id"
-)
-
-
-def q_sql_frontend_pivot(sf_dir: str):
-    """DuckDB's PIVOT statement form under the gate, compiled to
-    pivot_agg: per-batch combiners on (keys, pivot), ONE key shuffle,
-    reshape over the output-sized table; pivoted column names are the
-    category values and missing count cells are 0 — DuckDB's rules.
-    DuckDB runs the identical statement."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_PIVOT, {"events": _t(sf_dir, "events")})
-
-
-SQL_FRONTEND_CORR = (
-    "SELECT lang, count(*) AS n, corr(n_chars, doc_id) AS r, "
-    "covar_samp(n_chars, doc_id) AS cs, "
-    "covar_pop(n_chars, doc_id) AS cp, "
-    "regr_slope(n_chars, doc_id) AS sl, "
-    "regr_intercept(n_chars, doc_id) AS ic, "
-    "regr_r2(n_chars, doc_id) AS r2 "
-    "FROM documents GROUP BY lang ORDER BY lang"
-)
 
 # The oracle spells the engine's exact two-pass formula over the six
 # pairwise sum partials (n, Σx, Σy, Σxy, Σx², Σy²) in the engine's
@@ -7003,32 +6173,6 @@ FROM c ORDER BY lang
 """
 
 
-def q_sql_frontend_corr(sf_dir: str):
-    """Two-column statistical aggregates under the gate — corr /
-    covar_samp / covar_pop / regr_slope / regr_intercept / regr_r2:
-    six pairwise-masked sum partials per column pair ride the ONE
-    existing combiner pass (no extra shuffle), and the fixed-op-order
-    recomposition is bit-for-bit reproducible against an oracle
-    spelling the same formula over exact integer sums."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_CORR,
-                   {"documents": _t(sf_dir, "documents")})
-
-
-SQL_FRONTEND_SCRIPT = """
-CREATE TABLE big AS
-  SELECT o_custkey, o_totalprice FROM orders
-  WHERE o_totalprice > 150000;
-CREATE TABLE spend AS
-  SELECT o_custkey, count(*) AS n,
-         sum(cast(o_totalprice * 100 AS BIGINT)) AS cents
-  FROM big GROUP BY o_custkey;
-SELECT n, count(*) AS n_customers,
-       cast(sum(cents) AS BIGINT) AS total_cents
-FROM spend GROUP BY n ORDER BY n
-"""
-
 # the oracle is the same pipeline as ONE statement: each CTAS becomes
 # a CTE — CREATE TABLE x AS ...; SELECT ... FROM x ≡ WITH x AS (...)
 ORACLE_SQL_FRONTEND_SCRIPT = """
@@ -7045,175 +6189,6 @@ SELECT n, count(*) AS n_customers,
 FROM spend GROUP BY n ORDER BY n
 """
 
-
-def q_sql_frontend_script(sf_dir: str):
-    """Multi-statement SQL script under the gate — CREATE TABLE AS
-    registers each result for later statements (the streamable first
-    CTAS stays a LAZY Dataset re-planned into its consumer; the
-    aggregated second materializes its groups-sized frame), and the
-    final SELECT reads the chain. The oracle folds the script into
-    one CTE statement — semantically identical — so the hash is
-    strict in exact integer cents."""
-    from recon_ray.sql import run_sql_script
-
-    return run_sql_script(SQL_FRONTEND_SCRIPT,
-                          {"orders": _t(sf_dir, "orders")})
-
-
-SQL_FRONTEND_Q22_NATIVE = (
-    "SELECT substring(c_name, 18, 1) AS cntrycode, count(*) AS numcust, "
-    "cast(sum(cast(round(c_acctbal * 100) AS bigint)) AS bigint) "
-    "AS totacctbal_c "
-    "FROM customer c "
-    "WHERE substring(c_name, 18, 1) IN ('0', '1', '2', '3', '4') "
-    "AND c_acctbal > (SELECT avg(c_acctbal) FROM customer "
-    "WHERE c_acctbal > 0.0) "
-    "AND NOT EXISTS (SELECT o_custkey FROM orders o "
-    "WHERE o.o_custkey = c.c_custkey AND o.o_orderstatus = 'F') "
-    "GROUP BY cntrycode ORDER BY cntrycode"
-)
-
-
-def q_sql_frontend_q22_native(sf_dir: str):
-    """TPC-H Q22 in its NATIVE correlated NOT-EXISTS spelling — the
-    planner decorrelates the single qualified equality into a hash
-    anti-join key set (the inner status filter stays with the inner
-    scan), alongside the substring country-code key and the
-    scalar-aggregate threshold. Same answer as the NOT-IN companion
-    q_sql_frontend_tpch_q22; DuckDB runs the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_Q22_NATIVE, {
-        "customer": _t(sf_dir, "customer"),
-        "orders": _t(sf_dir, "orders"),
-    })
-
-
-SQL_FRONTEND_EXISTS_CORR = (
-    "SELECT o_orderpriority, count(*) AS order_count "
-    "FROM orders o "
-    "WHERE o.o_orderdate >= date '1996-01-01' "
-    "AND o.o_orderdate < date '1996-10-01' "
-    "AND EXISTS (SELECT l_orderkey FROM lineitem l "
-    "WHERE l.l_orderkey = o.o_orderkey AND l.l_quantity >= 48) "
-    "GROUP BY o_orderpriority ORDER BY o_orderpriority"
-)
-
-
-def q_sql_frontend_exists_corr(sf_dir: str):
-    """TPC-H Q4 in its NATIVE correlated-EXISTS spelling: the planner
-    decorrelates the single qualified equality into a hash semi-join
-    key set (inner-only predicates stay with the inner scan), so the
-    correlated form runs identically to the IN-subquery form — both
-    sides stream, nothing per-row. DuckDB runs the identical string;
-    the companion q_sql_frontend_tpch_q4 pins the IN spelling to the
-    same answer."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_EXISTS_CORR,
-                   {"orders": _t(sf_dir, "orders"),
-                    "lineitem": _t(sf_dir, "lineitem")})
-
-
-SQL_FRONTEND_EXISTS = (
-    "SELECT o_orderpriority, count(*) AS n FROM orders "
-    "WHERE EXISTS (SELECT r_regionkey FROM region "
-    "WHERE r_name = 'ASIA') "
-    "AND NOT EXISTS (SELECT r_regionkey FROM region "
-    "WHERE r_name = 'ATLANTIS') "
-    "GROUP BY o_orderpriority ORDER BY o_orderpriority"
-)
-
-
-def q_sql_frontend_exists(sf_dir: str):
-    """Uncorrelated [NOT] EXISTS under the gate — each probe evaluates
-    its subquery ONCE (raw projections capped at LIMIT 1 by the
-    parser) and resolves to keep-all or keep-none before the combiner
-    runs; correlated EXISTS stays with the operator API like other
-    correlation. DuckDB runs the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_EXISTS,
-                   {"orders": _t(sf_dir, "orders"),
-                    "region": _t(sf_dir, "region")})
-
-
-SQL_FRONTEND_CROSS = (
-    "SELECT r_name, n_name FROM region CROSS JOIN nation "
-    "WHERE n_regionkey = r_regionkey ORDER BY r_name, n_name"
-)
-
-
-def q_sql_frontend_cross(sf_dir: str):
-    """CROSS JOIN under the gate — broadcast nested loop (right side
-    ships once via the object store, bounded at the broadcast row
-    budget; left streams). The column-to-column WHERE references both
-    sides, so it filters the cartesian post-join — the theta-join
-    spelling. DuckDB runs the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_CROSS,
-                   {"region": _t(sf_dir, "region"),
-                    "nation": _t(sf_dir, "nation")})
-
-
-SQL_FRONTEND_STRAGG = (
-    "SELECT n_regionkey, count(*) AS n, "
-    "string_agg(n_name, ', ' ORDER BY n_name) AS nations, "
-    "string_agg(DISTINCT n_name, '|' ORDER BY n_name DESC) AS rev "
-    "FROM nation GROUP BY n_regionkey ORDER BY n_regionkey"
-)
-
-
-def q_sql_frontend_stragg(sf_dir: str):
-    """string_agg under the gate — ordered concatenation isn't a
-    mergeable partial, so each aggregate rides ONE group_concat narrow
-    shuffle (per-batch distinct combiner when DISTINCT, per-bucket
-    mergesort + C-level join); ORDER BY the aggregated column itself
-    keeps the element order layout-invariant. DuckDB runs the
-    identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_STRAGG, {"nation": _t(sf_dir, "nation")})
-
-
-SQL_FRONTEND_WINFRAME = (
-    "SELECT o_custkey, o_orderkey, "
-    "min(o_totalprice) OVER (PARTITION BY o_custkey "
-    "ORDER BY o_orderdate, o_orderkey "
-    "ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS low_5, "
-    "max(o_totalprice) OVER (PARTITION BY o_custkey "
-    "ORDER BY o_orderdate, o_orderkey "
-    "ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS high_5, "
-    "lag(o_totalprice, 2) OVER (PARTITION BY o_custkey "
-    "ORDER BY o_orderdate, o_orderkey) AS prev2 "
-    "FROM orders ORDER BY o_custkey, o_orderkey"
-)
-
-
-def q_sql_frontend_winframe(sf_dir: str):
-    """Bounded window frames + offset lag under the gate — ROWS
-    BETWEEN k PRECEDING AND CURRENT ROW compiles to the rolling window
-    kinds and lag(col, n) to an offset shift, both riding the ONE
-    bucketed window shuffle. Multi-column ORDER BY (orderdate,
-    orderkey) gives a TOTAL order (orderkey is unique), and rolling
-    min/max/lag are element picks — no accumulation — so the hash is
-    strict on the double column. (The integral-sum rolling frames are
-    pinned by the engine-level window fuzz; the synthetic lineitem
-    has duplicate (orderkey, linenumber) pairs per supplier, so it
-    offers no total order for a hash-strict SQL frame query.)"""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_WINFRAME,
-                   {"orders": _t(sf_dir, "orders")})
-
-
-SQL_FRONTEND_ARGMAX = (
-    "SELECT event_type, count(*) AS n, "
-    "arg_max(value, ts) AS last_value, "
-    "arg_min(value, ts) AS first_value "
-    "FROM events GROUP BY event_type ORDER BY event_type"
-)
 
 # arg_max(v, by) = v at the group's max by, over rows where BOTH are
 # non-null; ties on by break to MAX v. DuckDB's native arg_max picks
@@ -7240,373 +6215,947 @@ GROUP BY n.event_type, n.n ORDER BY n.event_type
 """
 
 
-def q_sql_frontend_argmax(sf_dir: str):
-    """arg_max / arg_min (max_by / min_by) under the gate: a per-batch
-    argmax combiner slims each batch to one row per group, then ONE
-    bucketed narrow shuffle resolves the global winner vectorized —
-    the value column never rides a full shuffle. Deterministic
-    tie-break (max v at the extreme by) replayed explicitly by the
-    oracle, so the hash is strict where DuckDB's native arg_max would
-    be arrival-order-dependent."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_ARGMAX, {"events": _t(sf_dir, "events")})
-
-
-SQL_FRONTEND_MEDIAN = (
-    "SELECT event_type, count(value) AS n, median(value) AS med, "
-    "quantile_cont(value, 0.25) AS p25, "
-    "quantile_cont(value, 0.9) AS p90, "
-    "quantile_disc(value, 0.5) AS d50 "
-    "FROM events GROUP BY event_type ORDER BY event_type"
-)
-
-
-def q_sql_frontend_median(sf_dir: str):
-    """Interpolated quantiles under the gate — median / quantile_cont
-    alongside the element-semantics quantile_disc: one grouped-
-    quantile hash shuffle per column, each bucket resolving all its
-    groups vectorized. The interpolation replays DuckDB's Interpolator
-    op order (lo·(CRN−RN) + hi·(RN−FRN) around RN=(n−1)·q) so the
-    NATIVE aggregate is the oracle and the hash is bit-strict — no
-    sums involved, so this holds for arbitrary doubles, not just
-    integers."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_MEDIAN, {"events": _t(sf_dir, "events")})
-
-
-SQL_FRONTEND_GSETS = (
-    "SELECT o_orderpriority, o_orderstatus, count(*) AS n, "
-    "cast(sum(o_custkey) AS bigint) AS ck, min(o_orderkey) AS k_min "
-    "FROM orders GROUP BY GROUPING SETS "
-    "((o_orderpriority, o_orderstatus), (o_orderstatus), ()) "
-    "ORDER BY o_orderpriority, o_orderstatus, n"
-)
-
-
-def q_sql_frontend_gsets(sf_dir: str):
-    """GROUP BY GROUPING SETS under the gate: exactly the requested
-    sets recompose from ONE combiner pass over the union of keys (the
-    finest level appears only if asked for), with SQL-NULL keys for
-    the grouped-out columns; DuckDB runs the identical string.
-    Integer-exact outputs keep the hash strict."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_GSETS, {"orders": _t(sf_dir, "orders")})
-
-
-SQL_FRONTEND_SCALARFN = (
-    "SELECT o_orderstatus, "
-    "cast(sum(coalesce(nullif(least(o_custkey, 500), 500), 0)) "
-    "AS bigint) AS s1, "
-    "max(greatest(o_custkey, o_orderkey / 4)) AS g1, "
-    "cast(min(least(o_custkey, o_orderkey)) AS bigint) AS l1, "
-    "cast(sum(abs(o_custkey - 700)) AS bigint) AS sa, "
-    "sum(floor(o_totalprice / 1000)) AS fl, "
-    "sum(ceil(o_totalprice / 1000)) AS ce "
-    "FROM orders GROUP BY o_orderstatus ORDER BY o_orderstatus"
-)
-
-
-def q_sql_frontend_scalarfn(sf_dir: str):
-    """Scalar numeric functions under the gate — coalesce / nullif /
-    greatest / least / abs / floor / ceil nested inside aggregates,
-    evaluated as one vectorized derive stage before the combiner;
-    DuckDB runs the identical string. floor/ceil/abs over exact
-    dyadic quotients and greatest/least over ints are IEEE-identical
-    in both engines, so the hash stays strict."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_SCALARFN,
-                   {"orders": _t(sf_dir, "orders")})
-
-
-SQL_FRONTEND_DATEFN = (
-    "SELECT date_trunc('month', ts) AS mo, extract(dow from ts) AS dw, "
-    "count(*) AS n, min(event_id) AS e_min "
-    "FROM events GROUP BY mo, dw ORDER BY mo, dw"
-)
-
-
-def q_sql_frontend_datefn(sf_dir: str):
-    """date_trunc + extract under the gate: a temporal derive column
-    and a numeric extract leaf both serving as GROUP BY keys (dow is
-    Sunday=0); DuckDB runs the identical string. Timestamps and
-    bigints hash exactly."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_DATEFN, {"events": _t(sf_dir, "events")})
-
-
-SQL_FRONTEND_STRFN = (
-    "SELECT lower(c_mktsegment) AS seg, "
-    "substring(c_name, 15, 2) AS sk, count(*) AS n, "
-    "cast(sum(length(c_name || c_mktsegment)) AS bigint) AS sl, "
-    "min(c_custkey) AS k_min, "
-    "min(c_name) AS nm_min, max(c_name) AS nm_max "
-    "FROM customer GROUP BY seg, sk ORDER BY seg, sk"
-)
-
-
-def q_sql_frontend_strfn(sf_dir: str):
-    """String functions under the gate — lower()/substring() derive
-    columns as GROUP BY keys, length(a || b) as a numeric aggregate
-    leaf, and min/max OVER STRING COLUMNS (NULL-skipping object
-    partials that merge like any other combiner column), all evaluated
-    as one vectorized derive stage (pyarrow utf8 kernels on the
-    pure-Arrow path) before the combiner; DuckDB runs the identical
-    string. Strings and bigints hash exactly."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_STRFN, {"customer": _t(sf_dir, "customer")})
-
-
-SQL_FRONTEND_STRPRED = (
-    "SELECT c_custkey, c_name, replace(c_mktsegment, 'I', '!') AS segx "
-    "FROM customer "
-    "WHERE (lower(c_mktsegment) LIKE '%i%' "
-    "AND right(c_name, 1) IN ('0', '5')) "
-    "OR trim(c_name) <> c_name "
-    "ORDER BY c_custkey LIMIT 400"
-)
-
-
-def q_sql_frontend_strpred(sf_dir: str):
-    """String-expression predicates under the gate — function-call
-    LHS in LIKE / IN / <>-vs-column (cmp2 with a string-expression
-    side), compiled to the same zero-copy pyarrow masks as plain
-    column predicates and pushed below any join; plus a replace()
-    derive in the select list. DuckDB runs the identical string; the
-    c_custkey total order plus LIMIT keeps the page deterministic."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_STRPRED,
-                   {"customer": _t(sf_dir, "customer")})
-
-
-SQL_FRONTEND_QUALIFY = (
-    "SELECT user_id, event_id, "
-    "row_number() OVER (PARTITION BY user_id ORDER BY event_id) AS rn "
-    "FROM events QUALIFY rn <= 3 ORDER BY user_id, rn LIMIT 200"
-)
-
-
-def q_sql_frontend_qualify(sf_dir: str):
-    """QUALIFY under the gate — the grouped top-k idiom: row numbers
-    from one bucketed window shuffle, then a distributed pyarrow
-    filter on the window output (no driver touch, no extra shuffle);
-    DuckDB runs the identical string. (user_id, rn) is unique, so the
-    LIMIT boundary is deterministic."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_QUALIFY,
-                   {"events": _t(sf_dir, "events")})
-
-
-SQL_FRONTEND_LIKE = (
-    "SELECT source, count(*) AS n, "
-    "count(*) FILTER (WHERE text LIKE '%the%') AS n_the, "
-    "min(n_chars) AS c_min "
-    "FROM documents WHERE lang LIKE 'e%' OR source LIKE '%wiki%' "
-    "GROUP BY source ORDER BY source"
-)
-
-
-def q_sql_frontend_like(sf_dir: str):
-    """[NOT] LIKE under the gate: wildcard predicates in WHERE (under
-    OR) compile to pc.match_like masks, and a LIKE inside a FILTER
-    clause runs through the pandas 3VL tree (regex-translated with %
-    and _ as the only metacharacters); DuckDB runs the identical
-    string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_LIKE,
-                   {"documents": _t(sf_dir, "documents")})
-
-
-SQL_FRONTEND_CASE = (
-    "SELECT CASE WHEN o_totalprice < 150000 THEN 'small' "
-    "WHEN o_totalprice < 320000 THEN 'mid' ELSE 'large' END AS band, "
-    "count(*) AS n, min(o_totalprice) AS p_min, "
-    "count(*) FILTER (WHERE o_orderstatus = 'F') AS n_f "
-    "FROM orders GROUP BY band ORDER BY band"
-)
-
-
-def q_sql_frontend_case(sf_dir: str):
-    """CASE WHEN bands under the gate (TPC-H Q12/Q14's conditional
-    shape): the CASE compiles to one vectorized np.select derive stage
-    (first-match semantics, missing ELSE -> NULL), then the banded
-    grouped aggregates run in the same combiner pass; DuckDB runs the
-    identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_CASE, {"orders": _t(sf_dir, "orders")})
-
-
-SQL_FRONTEND_UNION = (
-    "SELECT event_type AS label, count(*) AS n FROM events "
-    "GROUP BY event_type "
-    "UNION ALL "
-    "SELECT o_orderstatus AS label, count(*) AS n FROM orders "
-    "GROUP BY o_orderstatus ORDER BY label, n"
-)
-
-
-def q_sql_frontend_union(sf_dir: str):
-    """UNION ALL under the gate: two grouped aggregates over different
-    tables concatenate with the trailing ORDER BY binding the union
-    (exactly SQL's attachment rule); DuckDB runs the identical
-    string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_UNION,
-                   {"events": _t(sf_dir, "events"),
-                    "orders": _t(sf_dir, "orders")})
-
-
-SQL_FRONTEND_TIME = (
-    "SELECT event_type, count(*) AS n, count(DISTINCT user_id) AS nu "
-    "FROM events WHERE ts >= '2024-01-05' AND ts < '2024-01-12' "
-    "GROUP BY event_type ORDER BY event_type"
-)
-
-
-def q_sql_frontend_time(sf_dir: str):
-    """Temporal literals under the gate: string date bounds cast to the
-    timestamp column's type exactly as SQL does (midnight boundaries),
-    so the window membership, grouped counts and exact distinct users
-    all sit under the hash; DuckDB runs the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_TIME, {"events": _t(sf_dir, "events")})
-
-
-SQL_FRONTEND_CHAIN = (
-    "SELECT n_name, o_orderpriority, count(*) AS n, "
-    "min(o_totalprice) AS p_min "
-    "FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey "
-    "JOIN nation nt ON c.c_nationkey = nt.n_nationkey "
-    "WHERE o_orderstatus = 'F' "
-    "GROUP BY n_name, o_orderpriority ORDER BY n_name, o_orderpriority"
-)
-
-
-def q_sql_frontend_chain(sf_dir: str):
-    """Three-table left-deep join chain under the gate (TPC-H Q5's
-    fact→dim→dim shape): two shuffle_joins in sequence, post-chain
-    WHERE, grouped aggregates; DuckDB runs the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_CHAIN,
-                   {"orders": _t(sf_dir, "orders"),
-                    "customer": _t(sf_dir, "customer"),
-                    "nation": _t(sf_dir, "nation")})
-
-
-SQL_FRONTEND_QUANTILE = (
-    "SELECT event_type, quantile_disc(value, 0.5) AS med_value, "
-    "quantile_disc(value, 0.9) AS p90_value, count(*) AS n "
-    "FROM events GROUP BY event_type ORDER BY event_type"
-)
-
-
-def q_sql_frontend_quantile(sf_dir: str):
-    """quantile_disc aggregates under the gate: compiled to the
-    grouped_quantiles element-semantics shuffle (order statistics are
-    exact — no arithmetic, so float columns hash-match too); DuckDB
-    runs the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_QUANTILE, {"events": _t(sf_dir, "events")})
-
-
-SQL_FRONTEND_SCALAR_SUBQ = (
-    "SELECT o_orderpriority, count(*) AS n FROM orders "
-    "WHERE o_totalprice < (SELECT max(o_totalprice) FROM orders "
-    "WHERE o_orderstatus = 'F') "
-    "GROUP BY o_orderpriority ORDER BY o_orderpriority"
-)
-
-
-def q_sql_frontend_scalar_subq(sf_dir: str):
-    """Scalar subquery under the gate (TPC-H Q17's below-threshold
-    shape): the single-aggregate subquery evaluates recursively (max is
-    accumulation-order exact even on floats) and folds into the
-    conjunctive WHERE; DuckDB runs the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_SCALAR_SUBQ,
-                   {"orders": _t(sf_dir, "orders")})
-
-
-def q_sql_frontend_subquery(sf_dir: str):
-    """IN (SELECT ...) under the gate: the subquery compiles to a
-    hash semi-join (shuffle_semi_join — both sides stream, the inner
-    key set never collects on the driver) fused with the scalar WHERE
-    and grouped aggregates; DuckDB runs the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_SUBQUERY,
-                   {"orders": _t(sf_dir, "orders"),
-                    "customer": _t(sf_dir, "customer")})
-
-
-def q_sql_frontend_join(sf_dir: str):
-    """SQL front-end two-table equi-JOIN under the gate: the identical
-    string compiles to shuffle_join + combiner aggregates in the engine
-    and runs natively in DuckDB — join cardinality, the IN predicate
-    applied post-join, exact count(DISTINCT) on the fact side and
-    min/max all sit under the hash."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_JOIN,
-                   {"orders": _t(sf_dir, "orders"),
-                    "customer": _t(sf_dir, "customer")})
-
-
-def q_sql_frontend_left_join(sf_dir: str):
-    """LEFT OUTER variant: customers with no orders survive the join and
-    count(col) skips their NULLs while count(*) keeps the row — the
-    classic outer-join counting asymmetry, hash-gated against DuckDB on
-    the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_LEFT_JOIN,
-                   {"customer": _t(sf_dir, "customer"),
-                    "orders": _t(sf_dir, "orders")})
-
-
-def q_sql_frontend_lineitem(sf_dir: str):
-    """Third front-end shape under the gate: HAVING on an alias plus an
-    exact count(DISTINCT ...) (compiled to the bucketed distinct) —
-    engine and DuckDB execute the identical string."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_LINEITEM,
-                   {"lineitem": _t(sf_dir, "lineitem")})
-
-
-def q_sql_frontend_events(sf_dir: str):
-    """Mini SQL front-end (recon_ray/sql.py) under the oracle gate: the
-    ORACLE STRING ITSELF is executed by the engine — parsed and compiled
-    to arrow_filter + a combiner grouped aggregate — while DuckDB runs
-    the identical text. Any divergence in predicate, NULL, aggregate or
-    grouping semantics breaks the hash."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_EVENTS, {"events": _t(sf_dir, "events")})
-
-
-def q_sql_frontend_orders(sf_dir: str):
-    """Second front-end shape under the gate: WHERE on a float column,
-    ORDER BY an aggregate, LIMIT — same contract as
-    q_sql_frontend_events (engine and DuckDB execute the identical
-    string)."""
-    from recon_ray.sql import run_sql
-
-    return run_sql(SQL_FRONTEND_ORDERS, {"orders": _t(sf_dir, "orders")})
+class SqlQuery(NamedTuple):
+    """One SQL front-end query: the statement (or ``;``-separated script)
+    the engine runs, the sf tables it reads, the registry description,
+    and the DuckDB oracle when it is not ``sql`` itself."""
+
+    sql: str
+    tables: tuple[str, ...]
+    doc: str
+    oracle: Optional[str] = None
+
+
+def _run_sql_entry(name: str, sf_dir: str):
+    from recon_ray.sql import run_sql_script
+
+    q = SQL_FRONTEND[name]
+    return run_sql_script(q.sql, {t: _t(sf_dir, t) for t in q.tables})
+
+
+def _sql_query(name: str):
+    fn = functools.partial(_run_sql_entry, name)
+    fn.__doc__ = SQL_FRONTEND[name].doc
+    return fn
+
+
+# Every q_sql_frontend_* query, in registry order. The engine runs
+# ``sql`` through the front-end (``recon_ray.sql``), and DuckDB runs
+# ``oracle or sql`` as its oracle.
+SQL_FRONTEND: dict[str, SqlQuery] = {
+    "q_sql_frontend_events": SqlQuery(
+        "SELECT event_type, count(*) AS n, count(user_id) AS cu, "
+        "cast(sum(user_id) AS bigint) AS su, "
+        "min(user_id) AS min_u, max(user_id) AS max_u "
+        "FROM events WHERE user_id >= 2 AND event_type <> 'error' "
+        "GROUP BY event_type ORDER BY event_type",
+        ("events",),
+        """Mini SQL front-end (recon_ray/sql.py) under the oracle gate: the
+        ORACLE STRING ITSELF is executed by the engine — parsed and compiled
+        to arrow_filter + a combiner grouped aggregate — while DuckDB runs
+        the identical text. Any divergence in predicate, NULL, aggregate or
+        grouping semantics breaks the hash.""",
+    ),
+    "q_sql_frontend_orders": SqlQuery(
+        "SELECT o_orderstatus, count(*) AS n, min(o_orderkey) AS first_key "
+        "FROM orders WHERE o_totalprice >= 1000 "
+        "GROUP BY o_orderstatus ORDER BY n DESC, o_orderstatus LIMIT 3",
+        ("orders",),
+        """Second front-end shape under the gate: WHERE on a float column,
+        ORDER BY an aggregate, LIMIT — same contract as
+        q_sql_frontend_events (engine and DuckDB execute the identical
+        string).""",
+    ),
+    "q_sql_frontend_lineitem": SqlQuery(
+        "SELECT l_linestatus, count(*) AS n, "
+        "count(distinct l_orderkey) AS n_orders "
+        "FROM lineitem WHERE l_quantity >= 10 "
+        "GROUP BY l_linestatus HAVING n >= 100 ORDER BY l_linestatus",
+        ("lineitem",),
+        """Third front-end shape under the gate: HAVING on an alias plus an
+        exact count(DISTINCT ...) (compiled to the bucketed distinct) —
+        engine and DuckDB execute the identical string.""",
+    ),
+    "q_sql_frontend_join": SqlQuery(
+        "SELECT c_mktsegment, o_orderpriority, count(*) AS n, "
+        "count(DISTINCT o_custkey) AS n_cust, "
+        "min(o_totalprice) AS p_min, max(o_totalprice) AS p_max "
+        "FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey "
+        "WHERE o_orderstatus IN ('F', 'O') "
+        "GROUP BY c_mktsegment, o_orderpriority "
+        "ORDER BY c_mktsegment, o_orderpriority",
+        ("orders", "customer"),
+        """SQL front-end two-table equi-JOIN under the gate: the identical
+        string compiles to shuffle_join + combiner aggregates in the engine
+        and runs natively in DuckDB — join cardinality, the IN predicate
+        applied post-join, exact count(DISTINCT) on the fact side and
+        min/max all sit under the hash.""",
+    ),
+    "q_sql_frontend_window": SqlQuery(
+        "SELECT user_id, event_id, "
+        "row_number() OVER (PARTITION BY user_id ORDER BY event_id) AS rn, "
+        "rank() OVER (PARTITION BY user_id ORDER BY event_id) AS rk, "
+        "lag(event_id) OVER (PARTITION BY user_id ORDER BY event_id) "
+        "AS prev_id, "
+        "ntile(4) OVER (PARTITION BY user_id ORDER BY event_id) AS quartile "
+        "FROM events ORDER BY user_id, event_id",
+        ("events",),
+        """SQL front-end window functions under the gate: the identical
+        string compiles to one window_over hash-shuffle pass in the engine
+        and runs natively in DuckDB — row numbering, ranking, lag NULLs at
+        partition edges and NTILE tile arithmetic all sit under the hash
+        (event_id is unique per partition, the documented total-order
+        contract).""",
+    ),
+    "q_sql_frontend_subquery": SqlQuery(
+        "SELECT o_orderstatus, count(*) AS n, min(o_orderkey) AS k_min "
+        "FROM orders WHERE o_totalprice >= 500 AND o_custkey IN "
+        "(SELECT c_custkey FROM customer WHERE c_acctbal BETWEEN 100 AND "
+        "5000) GROUP BY o_orderstatus ORDER BY o_orderstatus",
+        ("orders", "customer"),
+        """IN (SELECT ...) under the gate: the subquery compiles to a
+        hash semi-join (shuffle_semi_join — both sides stream, the inner
+        key set never collects on the driver) fused with the scalar WHERE
+        and grouped aggregates; DuckDB runs the identical string.""",
+    ),
+    "q_sql_frontend_scalar_subq": SqlQuery(
+        "SELECT o_orderpriority, count(*) AS n FROM orders "
+        "WHERE o_totalprice < (SELECT max(o_totalprice) FROM orders "
+        "WHERE o_orderstatus = 'F') "
+        "GROUP BY o_orderpriority ORDER BY o_orderpriority",
+        ("orders",),
+        """Scalar subquery under the gate (TPC-H Q17's below-threshold
+        shape): the single-aggregate subquery evaluates recursively (max is
+        accumulation-order exact even on floats) and folds into the
+        conjunctive WHERE; DuckDB runs the identical string.""",
+    ),
+    "q_sql_frontend_quantile": SqlQuery(
+        "SELECT event_type, quantile_disc(value, 0.5) AS med_value, "
+        "quantile_disc(value, 0.9) AS p90_value, count(*) AS n "
+        "FROM events GROUP BY event_type ORDER BY event_type",
+        ("events",),
+        """quantile_disc aggregates under the gate: compiled to the
+        grouped_quantiles element-semantics shuffle (order statistics are
+        exact — no arithmetic, so float columns hash-match too); DuckDB
+        runs the identical string.""",
+    ),
+    "q_sql_frontend_chain": SqlQuery(
+        "SELECT n_name, o_orderpriority, count(*) AS n, "
+        "min(o_totalprice) AS p_min "
+        "FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey "
+        "JOIN nation nt ON c.c_nationkey = nt.n_nationkey "
+        "WHERE o_orderstatus = 'F' "
+        "GROUP BY n_name, o_orderpriority ORDER BY n_name, o_orderpriority",
+        ("orders", "customer", "nation"),
+        """Three-table left-deep join chain under the gate (TPC-H Q5's
+        fact→dim→dim shape): two shuffle_joins in sequence, post-chain
+        WHERE, grouped aggregates; DuckDB runs the identical string.""",
+    ),
+    "q_sql_frontend_time": SqlQuery(
+        "SELECT event_type, count(*) AS n, count(DISTINCT user_id) AS nu "
+        "FROM events WHERE ts >= '2024-01-05' AND ts < '2024-01-12' "
+        "GROUP BY event_type ORDER BY event_type",
+        ("events",),
+        """Temporal literals under the gate: string date bounds cast to the
+        timestamp column's type exactly as SQL does (midnight boundaries),
+        so the window membership, grouped counts and exact distinct users
+        all sit under the hash; DuckDB runs the identical string.""",
+    ),
+    "q_sql_frontend_union": SqlQuery(
+        "SELECT event_type AS label, count(*) AS n FROM events "
+        "GROUP BY event_type "
+        "UNION ALL "
+        "SELECT o_orderstatus AS label, count(*) AS n FROM orders "
+        "GROUP BY o_orderstatus ORDER BY label, n",
+        ("events", "orders"),
+        """UNION ALL under the gate: two grouped aggregates over different
+        tables concatenate with the trailing ORDER BY binding the union
+        (exactly SQL's attachment rule); DuckDB runs the identical
+        string.""",
+    ),
+    "q_sql_frontend_filter": SqlQuery(
+        "SELECT o_orderpriority, "
+        "count(*) FILTER (WHERE o_orderstatus = 'F') AS n_f, "
+        "count(*) FILTER (WHERE o_totalprice >= 1000) AS n_big, "
+        "min(o_totalprice) FILTER (WHERE o_orderstatus = 'O') AS p_min_o, "
+        "count(*) AS n "
+        "FROM orders GROUP BY o_orderpriority ORDER BY o_orderpriority",
+        ("orders",),
+        """agg(...) FILTER (WHERE ...) under the gate (TPC-H Q12's
+        conditional-count shape without CASE): each filtered aggregate gets
+        its own masked combiner partials in the same single pass; DuckDB
+        runs the identical string.""",
+    ),
+    "q_sql_frontend_case": SqlQuery(
+        "SELECT CASE WHEN o_totalprice < 150000 THEN 'small' "
+        "WHEN o_totalprice < 320000 THEN 'mid' ELSE 'large' END AS band, "
+        "count(*) AS n, min(o_totalprice) AS p_min, "
+        "count(*) FILTER (WHERE o_orderstatus = 'F') AS n_f "
+        "FROM orders GROUP BY band ORDER BY band",
+        ("orders",),
+        """CASE WHEN bands under the gate (TPC-H Q12/Q14's conditional
+        shape): the CASE compiles to one vectorized np.select derive stage
+        (first-match semantics, missing ELSE -> NULL), then the banded
+        grouped aggregates run in the same combiner pass; DuckDB runs the
+        identical string.""",
+    ),
+    "q_sql_frontend_bool": SqlQuery(
+        "SELECT o_orderpriority, count(*) AS n, min(o_orderkey) AS k_min "
+        "FROM orders "
+        "WHERE NOT (o_orderstatus = 'F' OR o_totalprice < 100000) "
+        "OR o_orderpriority = '1-URGENT' "
+        "GROUP BY o_orderpriority ORDER BY o_orderpriority",
+        ("orders",),
+        """OR / NOT predicate trees under the gate: the WHERE compiles to
+        one pyarrow mask with Kleene three-valued logic (and_kleene /
+        or_kleene / invert, UNKNOWN excluded at the top); DuckDB runs the
+        identical string. Integer-exact outputs keep the hash strict.""",
+    ),
+    "q_sql_frontend_expr": SqlQuery(
+        "SELECT l_returnflag, sum(l_quantity) AS sum_qty, "
+        "sum(l_quantity * (1 + l_linenumber)) AS w_qty, "
+        "max(l_quantity * 2 - 1) AS mq, count(*) AS n "
+        "FROM lineitem WHERE l_quantity BETWEEN 5 AND 45 "
+        "GROUP BY l_returnflag ORDER BY l_returnflag",
+        ("lineitem",),
+        """Arithmetic expression aggregates under the gate (TPC-H Q1's
+        sum-of-products shape): each expression materializes as a hidden
+        vectorized derive column feeding the same combiner pass. The
+        operands here are integer-valued doubles, so the sums are EXACT in
+        float64 and hash-identical to DuckDB — the float-product TPC-H Q1/
+        Q6 verbatim strings are tolerance-checked in pytest instead
+        (double accumulation order differs between engines).""",
+    ),
+    "q_sql_frontend_tpch_q1": SqlQuery(
+        "SELECT l_returnflag, l_linestatus, "
+        "round(sum(l_quantity), 2) AS sum_qty, "
+        "round(sum(cast(round(l_extendedprice * 100) AS bigint)) / 100.0, "
+        "2) AS sum_base_price, "
+        "round(sum(cast(round(l_extendedprice * 100) AS bigint) * "
+        "(100 - cast(round(l_discount * 100) AS bigint))) / 10000.0, 2) "
+        "AS sum_disc_price, "
+        "round(sum(cast(round(l_extendedprice * 100) AS bigint) * "
+        "(100 - cast(round(l_discount * 100) AS bigint)) * "
+        "(100 + cast(round(l_tax * 100) AS bigint))) / 1000000.0, 2) "
+        "AS sum_charge, "
+        "round(sum(l_quantity) / count(*), 6) AS avg_qty, "
+        "round(sum(cast(round(l_discount * 100) AS bigint)) / 100.0 / "
+        "count(*), 6) AS avg_disc, "
+        "count(*) AS count_order "
+        "FROM lineitem WHERE l_shipdate <= timestamp '2000-09-02' "
+        "GROUP BY l_returnflag, l_linestatus "
+        "ORDER BY l_returnflag, l_linestatus",
+        ("lineitem",),
+        """TPC-H Q1 in integer-cents form under the hash gate, compiled and
+        executed by the engine itself. It runs the computation of ORACLE_Q1
+        (the handwritten q1 pipeline's oracle), spelled cast(x AS bigint)
+        where ORACLE_Q1 writes x::BIGINT, and with a 2000-09-02 shipdate
+        cutoff instead of 1998-09-02. The cents expressions
+        (cast(round(price * 100) as bigint) products) materialize as int64
+        derive columns whose sums stay EXACT past float64's 2^53, the
+        round(sum(...) / 10^k, 2) outer layer is a post-aggregate
+        expression on the groups-sized result, and the rounding mirrors
+        DuckDB operation-for-operation — so the hash matches bit-exactly
+        where the raw-float Q1 cannot (accumulation-order drift;
+        tests/test_sql_frontend.py::test_tpch_q1_q6_verbatim covers that
+        form with tolerance).""",
+    ),
+    "q_sql_frontend_tumbling_6h": SqlQuery(
+        "SELECT time_bucket(INTERVAL '6 hours', ts) AS window_start, "
+        "event_type, count(*) AS n_events, "
+        "round(sum(value), 2) AS total_value "
+        "FROM events GROUP BY window_start, event_type "
+        "ORDER BY window_start, event_type",
+        ("events",),
+        """Tumbling-window aggregate THROUGH the SQL front-end:
+        time_bucket(INTERVAL 'N unit', ts) compiles to a temporal derive
+        column (bucket widths must divide a day, so the epoch origin and
+        DuckDB's 2000-01-01 origin agree) feeding the combiner groupby —
+        the identical string runs in DuckDB as the oracle.""",
+    ),
+    "q_sql_frontend_tpch_q3": SqlQuery(
+        "SELECT l_orderkey, o_orderdate, " + _CENTS_REV + " AS revenue "
+        "FROM customer "
+        "JOIN orders ON customer.c_custkey = orders.o_custkey "
+        "JOIN lineitem ON lineitem.l_orderkey = orders.o_orderkey "
+        "WHERE c_mktsegment = 'BUILDING' "
+        "GROUP BY l_orderkey, o_orderdate "
+        "ORDER BY revenue DESC, l_orderkey LIMIT 10",
+        ("customer", "orders", "lineitem"),
+        """TPC-H Q3 (cents form) under the gate, compiled by the front-end
+        — two chained shuffle_joins, the cents product as an int64 hidden
+        derive, the revenue rounding as a post-aggregate expression, and a
+        fully-tiebroken top-10 (revenue DESC, then l_orderkey). It runs the
+        computation of ORACLE_Q3 (the handwritten q3 pipeline's oracle),
+        spelled cast(x AS bigint) where ORACLE_Q3 writes x::BIGINT.""",
+    ),
+    "q_sql_frontend_tpch_q5": SqlQuery(
+        "SELECT r_name, n_name, " + _CENTS_REV + " AS revenue, "
+        "count(*) AS n_items "
+        "FROM lineitem "
+        "JOIN orders ON lineitem.l_orderkey = orders.o_orderkey "
+        "JOIN customer ON orders.o_custkey = customer.c_custkey "
+        "JOIN nation ON customer.c_nationkey = nation.n_nationkey "
+        "JOIN region ON nation.n_regionkey = region.r_regionkey "
+        "GROUP BY r_name, n_name ORDER BY r_name, n_name",
+        ("lineitem", "orders", "customer", "nation", "region"),
+        """TPC-H Q5 (cents form) under the gate: a four-join left-deep
+        chain (lineitem→orders→customer→nation→region) compiled to chained
+        hash shuffle_joins, nation-level revenue hash-exact.""",
+    ),
+    "q_sql_frontend_tpch_q6": SqlQuery(
+        "SELECT round(sum(cast(round(l_extendedprice * 100) AS bigint) * "
+        "cast(round(l_discount * 100) AS bigint)) / 10000.0, 2) AS revenue "
+        "FROM lineitem "
+        "WHERE l_shipdate >= date '1996-01-01' "
+        "AND l_shipdate < date '1997-01-01' "
+        "AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24",
+        ("lineitem",),
+        """TPC-H Q6 (cents form) under the gate: pure pyarrow filter (date
+        window + BETWEEN + comparison) into one global cents aggregate —
+        no shuffle at all, hash-exact.""",
+    ),
+    "q_sql_frontend_tpch_q10": SqlQuery(
+        "SELECT c_custkey, c_name, n_name, " + _CENTS_REV + " AS revenue "
+        "FROM customer "
+        "JOIN orders ON customer.c_custkey = orders.o_custkey "
+        "JOIN lineitem ON lineitem.l_orderkey = orders.o_orderkey "
+        "JOIN nation ON customer.c_nationkey = nation.n_nationkey "
+        "WHERE l_returnflag = 'R' AND o_orderdate >= date '1996-01-01' "
+        "AND o_orderdate < date '1997-01-01' "
+        "GROUP BY c_custkey, c_name, n_name "
+        "ORDER BY revenue DESC, c_custkey LIMIT 20",
+        ("customer", "orders", "lineitem", "nation"),
+        """TPC-H Q10 (returned-item revenue, cents form) under the gate:
+        three joins, a post-join WHERE mixing a string equality with a
+        temporal window, per-customer revenue, deterministic top-20
+        (revenue DESC then c_custkey).""",
+    ),
+    "q_sql_frontend_tpch_q4": SqlQuery(
+        "SELECT o_orderpriority, count(*) AS order_count "
+        "FROM orders "
+        "WHERE o_orderdate >= date '1996-01-01' "
+        "AND o_orderdate < date '1996-10-01' "
+        "AND o_orderkey IN "
+        "(SELECT l_orderkey FROM lineitem WHERE l_quantity >= 48) "
+        "GROUP BY o_orderpriority ORDER BY o_orderpriority",
+        ("orders", "lineitem"),
+        """TPC-H Q4 under the gate, EXISTS expressed as the equivalent IN
+        subquery (the synthetic lineitem has no commit/receipt dates, so
+        the 'late line' predicate becomes a quantity threshold): temporal
+        window filter, hash semi-join against the filtered lineitem keys,
+        priority counts.""",
+    ),
+    "q_sql_frontend_tpch_q19": SqlQuery(
+        "SELECT " + _CENTS_REV + " AS revenue "
+        "FROM lineitem "
+        "JOIN part ON part.p_partkey = lineitem.l_partkey "
+        "WHERE (p_brand = 'Brand#12' AND l_quantity BETWEEN 1 AND 11 "
+        "AND p_size BETWEEN 1 AND 5) "
+        "OR (p_brand = 'Brand#23' AND l_quantity BETWEEN 10 AND 20 "
+        "AND p_size BETWEEN 1 AND 10) "
+        "OR (p_brand = 'Brand#34' AND l_quantity BETWEEN 20 AND 30 "
+        "AND p_size BETWEEN 1 AND 15)",
+        ("lineitem", "part"),
+        """TPC-H Q19 under the gate (container/shipmode predicates dropped
+        — those columns don't exist in the synthetic part/lineitem): the
+        classic disjunction-of-conjunctions WHERE compiles to ONE pyarrow
+        Kleene or_/and_ mask over the joined stream, then the cents
+        revenue aggregate — hash-exact.""",
+    ),
+    "q_sql_frontend_like": SqlQuery(
+        "SELECT source, count(*) AS n, "
+        "count(*) FILTER (WHERE text LIKE '%the%') AS n_the, "
+        "min(n_chars) AS c_min "
+        "FROM documents WHERE lang LIKE 'e%' OR source LIKE '%wiki%' "
+        "GROUP BY source ORDER BY source",
+        ("documents",),
+        """[NOT] LIKE under the gate: wildcard predicates in WHERE (under
+        OR) compile to pc.match_like masks, and a LIKE inside a FILTER
+        clause runs through the pandas 3VL tree (regex-translated with %
+        and _ as the only metacharacters); DuckDB runs the identical
+        string.""",
+    ),
+    "q_sql_frontend_tpch_q14": SqlQuery(
+        "SELECT round(100.0 * sum(CASE WHEN p_type LIKE 'PROMO%' THEN "
+        "cast(round(l_extendedprice * 100) AS bigint) * "
+        "(100 - cast(round(l_discount * 100) AS bigint)) ELSE 0 END) / "
+        "sum(cast(round(l_extendedprice * 100) AS bigint) * "
+        "(100 - cast(round(l_discount * 100) AS bigint))), 6) "
+        "AS promo_revenue "
+        "FROM lineitem JOIN part ON part.p_partkey = lineitem.l_partkey "
+        "WHERE l_shipdate >= date '1996-09-01' "
+        "AND l_shipdate < date '1996-10-01'",
+        ("lineitem", "part"),
+        """TPC-H Q14 (promotion-revenue ratio, cents form) under the gate:
+        sum(CASE WHEN p_type LIKE 'PROMO%' THEN cents ELSE 0 END) over the
+        joined stream — CASE excised into the expression AST, evaluated as
+        an int64 derive column — divided by the plain cents sum in a
+        post-aggregate expression; both sums exact, rounding
+        DuckDB-mirrored, hash-exact.""",
+    ),
+    "q_sql_frontend_tpch_q18": SqlQuery(
+        "SELECT c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice, "
+        "sum(l_quantity) AS total_qty "
+        "FROM customer "
+        "JOIN orders ON customer.c_custkey = orders.o_custkey "
+        "JOIN lineitem ON lineitem.l_orderkey = orders.o_orderkey "
+        "WHERE o_orderkey IN (SELECT l_orderkey FROM lineitem "
+        "GROUP BY l_orderkey HAVING sum(l_quantity) > 300) "
+        "GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice "
+        "ORDER BY o_totalprice DESC, o_orderkey LIMIT 100",
+        ("customer", "orders", "lineitem"),
+        """TPC-H Q18 (large-volume customers) under the gate: the IN
+        subquery is itself an aggregated query (GROUP BY + HAVING on a raw
+        sum) planned recursively, its groups-sized key set semi-joined
+        back into the customer x orders x lineitem chain; quantity sums
+        are integer-valued doubles, so everything is hash-exact. The
+        clause splitter is paren-aware — the inner GROUP BY/HAVING lives
+        inside the subquery parens.""",
+    ),
+    "q_sql_frontend_tpch_q13": SqlQuery(
+        "SELECT c_count, count(*) AS custdist FROM "
+        "(SELECT c_custkey, count(o_orderkey) AS c_count FROM customer "
+        "LEFT JOIN orders ON customer.c_custkey = orders.o_custkey "
+        "GROUP BY c_custkey) c_orders "
+        "GROUP BY c_count ORDER BY custdist DESC, c_count DESC",
+        ("customer", "orders"),
+        """TPC-H Q13 (customer order-count distribution) under the gate:
+        the FROM is a DERIVED TABLE — the inner per-customer LEFT-join
+        count plans recursively (groups-sized result), re-enters as an
+        in-memory base, and the outer distribution groups over it.
+        Integer counts throughout — hash-exact.""",
+    ),
+    "q_sql_frontend_qualify": SqlQuery(
+        "SELECT user_id, event_id, "
+        "row_number() OVER (PARTITION BY user_id ORDER BY event_id) AS rn "
+        "FROM events QUALIFY rn <= 3 ORDER BY user_id, rn LIMIT 200",
+        ("events",),
+        """QUALIFY under the gate — the grouped top-k idiom: row numbers
+        from one bucketed window shuffle, then a distributed pyarrow
+        filter on the window output (no driver touch, no extra shuffle);
+        DuckDB runs the identical string. (user_id, rn) is unique, so the
+        LIMIT boundary is deterministic.""",
+    ),
+    "q_sql_frontend_tpch_q15": SqlQuery(
+        "WITH revenue AS (SELECT l_suppkey AS supplier_no, "
+        "round(sum(cast(round(l_extendedprice * 100) AS bigint) * "
+        "(100 - cast(round(l_discount * 100) AS bigint))) / 10000.0, 2) "
+        "AS total_revenue FROM lineitem "
+        "WHERE l_shipdate >= date '1996-01-01' "
+        "AND l_shipdate < date '1996-04-01' "
+        "GROUP BY l_suppkey) "
+        "SELECT s_suppkey, s_name, total_revenue "
+        "FROM supplier JOIN revenue ON supplier.s_suppkey = "
+        "revenue.supplier_no "
+        "WHERE total_revenue = (SELECT max(total_revenue) FROM revenue) "
+        "ORDER BY s_suppkey",
+        ("lineitem", "supplier"),
+        """TPC-H Q15 (top supplier, cents form) under the gate: the
+        revenue CTE plans once and registers as an in-memory result-sized
+        table, the scalar subquery takes its max over the SAME registered
+        frame (no recompute), and the equality filter + supplier join
+        resolve against exact cents-derived doubles — hash-exact.""",
+    ),
+    "q_sql_frontend_tpch_q17": SqlQuery(
+        "WITH pa AS (SELECT l_partkey AS pkey, "
+        "round(0.2 * sum(l_quantity) / count(*), 6) AS qty_limit "
+        "FROM lineitem GROUP BY l_partkey) "
+        "SELECT round(sum(cast(round(l_extendedprice * 100) AS bigint)) "
+        "/ 100.0 / 7.0, 2) AS avg_yearly "
+        "FROM lineitem JOIN pa ON pa.pkey = lineitem.l_partkey "
+        "WHERE l_quantity < qty_limit",
+        ("lineitem",),
+        """TPC-H Q17 (small-quantity-order revenue) under the gate, the
+        correlated subquery decorrelated into a per-part CTE (the standard
+        rewrite): per-part 20%%-of-average limits from one grouped pass,
+        joined back, with a COLUMN-TO-COLUMN comparison (l_quantity <
+        qty_limit) in the post-join WHERE; quantity sums exact, limits
+        identical doubles in both engines — hash-exact.""",
+    ),
+    "q_sql_frontend_setops": SqlQuery(
+        "SELECT o_orderpriority FROM orders WHERE o_orderstatus = 'F' "
+        "INTERSECT "
+        "SELECT o_orderpriority FROM orders WHERE o_totalprice > 200000 "
+        "ORDER BY o_orderpriority",
+        ("orders",),
+        """INTERSECT under the gate: two filtered projections of the same
+        table, set semantics with SQL's NULLs-are-equal rule, the trailing
+        ORDER BY binding the whole chain; DuckDB runs the identical
+        string.""",
+    ),
+    "q_sql_frontend_rollup": SqlQuery(
+        "SELECT o_orderpriority, o_orderstatus, count(*) AS n, "
+        "min(o_orderkey) AS k_min "
+        "FROM orders GROUP BY ROLLUP(o_orderpriority, o_orderstatus) "
+        "ORDER BY o_orderpriority, o_orderstatus, n",
+        ("orders",),
+        """GROUP BY ROLLUP under the gate: subtotal levels recompose from
+        the finest level's combiner partials (one input pass total), with
+        SQL-NULL subtotal keys; DuckDB runs the identical string.
+        Integer-exact outputs keep the hash strict.""",
+    ),
+    "q_sql_frontend_stddev": SqlQuery(
+        "SELECT lang, count(n_chars) AS n, stddev_samp(n_chars) AS sd, "
+        "var_pop(n_chars) AS vp "
+        "FROM documents GROUP BY lang ORDER BY lang",
+        ("documents",),
+        """stddev_samp / var_pop under the gate: one extra sum-of-squares
+        partial rides the existing combiner (no second shuffle), and the
+        two-pass recomposition (q − s·s/n)/(n or n−1) is bit-for-bit
+        reproducible against an oracle spelling the same formula over
+        exact integer sums.""",
+        oracle=ORACLE_SQL_FRONTEND_STDDEV,
+    ),
+    "q_sql_frontend_corr": SqlQuery(
+        "SELECT lang, count(*) AS n, corr(n_chars, doc_id) AS r, "
+        "covar_samp(n_chars, doc_id) AS cs, "
+        "covar_pop(n_chars, doc_id) AS cp, "
+        "regr_slope(n_chars, doc_id) AS sl, "
+        "regr_intercept(n_chars, doc_id) AS ic, "
+        "regr_r2(n_chars, doc_id) AS r2 "
+        "FROM documents GROUP BY lang ORDER BY lang",
+        ("documents",),
+        """Two-column statistical aggregates under the gate — corr /
+        covar_samp / covar_pop / regr_slope / regr_intercept / regr_r2:
+        six pairwise-masked sum partials per column pair ride the ONE
+        existing combiner pass (no extra shuffle), and the fixed-op-order
+        recomposition is bit-for-bit reproducible against an oracle
+        spelling the same formula over exact integer sums.""",
+        oracle=ORACLE_SQL_FRONTEND_CORR,
+    ),
+    "q_sql_frontend_median": SqlQuery(
+        "SELECT event_type, count(value) AS n, median(value) AS med, "
+        "quantile_cont(value, 0.25) AS p25, "
+        "quantile_cont(value, 0.9) AS p90, "
+        "quantile_disc(value, 0.5) AS d50 "
+        "FROM events GROUP BY event_type ORDER BY event_type",
+        ("events",),
+        """Interpolated quantiles under the gate — median / quantile_cont
+        alongside the element-semantics quantile_disc: one grouped-
+        quantile hash shuffle per column, each bucket resolving all its
+        groups vectorized. The interpolation replays DuckDB's Interpolator
+        op order (lo·(CRN−RN) + hi·(RN−FRN) around RN=(n−1)·q) so the
+        NATIVE aggregate is the oracle and the hash is bit-strict — no
+        sums involved, so this holds for arbitrary doubles, not just
+        integers.""",
+    ),
+    "q_sql_frontend_argmax": SqlQuery(
+        "SELECT event_type, count(*) AS n, "
+        "arg_max(value, ts) AS last_value, "
+        "arg_min(value, ts) AS first_value "
+        "FROM events GROUP BY event_type ORDER BY event_type",
+        ("events",),
+        """arg_max / arg_min (max_by / min_by) under the gate: a per-batch
+        argmax combiner slims each batch to one row per group, then ONE
+        bucketed narrow shuffle resolves the global winner vectorized —
+        the value column never rides a full shuffle. Deterministic
+        tie-break (max v at the extreme by) replayed explicitly by the
+        oracle, so the hash is strict where DuckDB's native arg_max would
+        be arrival-order-dependent.""",
+        oracle=ORACLE_SQL_FRONTEND_ARGMAX,
+    ),
+    "q_sql_frontend_winframe": SqlQuery(
+        "SELECT o_custkey, o_orderkey, "
+        "min(o_totalprice) OVER (PARTITION BY o_custkey "
+        "ORDER BY o_orderdate, o_orderkey "
+        "ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS low_5, "
+        "max(o_totalprice) OVER (PARTITION BY o_custkey "
+        "ORDER BY o_orderdate, o_orderkey "
+        "ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS high_5, "
+        "lag(o_totalprice, 2) OVER (PARTITION BY o_custkey "
+        "ORDER BY o_orderdate, o_orderkey) AS prev2 "
+        "FROM orders ORDER BY o_custkey, o_orderkey",
+        ("orders",),
+        """Bounded window frames + offset lag under the gate — ROWS
+        BETWEEN k PRECEDING AND CURRENT ROW compiles to the rolling window
+        kinds and lag(col, n) to an offset shift, both riding the ONE
+        bucketed window shuffle. Multi-column ORDER BY (orderdate,
+        orderkey) gives a TOTAL order (orderkey is unique), and rolling
+        min/max/lag are element picks — no accumulation — so the hash is
+        strict on the double column. (The integral-sum rolling frames are
+        pinned by the engine-level window fuzz; the synthetic lineitem
+        has duplicate (orderkey, linenumber) pairs per supplier, so it
+        offers no total order for a hash-strict SQL frame query.)""",
+    ),
+    "q_sql_frontend_stragg": SqlQuery(
+        "SELECT n_regionkey, count(*) AS n, "
+        "string_agg(n_name, ', ' ORDER BY n_name) AS nations, "
+        "string_agg(DISTINCT n_name, '|' ORDER BY n_name DESC) AS rev "
+        "FROM nation GROUP BY n_regionkey ORDER BY n_regionkey",
+        ("nation",),
+        """string_agg under the gate — ordered concatenation isn't a
+        mergeable partial, so each aggregate rides ONE group_concat narrow
+        shuffle (per-batch distinct combiner when DISTINCT, per-bucket
+        mergesort + C-level join); ORDER BY the aggregated column itself
+        keeps the element order layout-invariant. DuckDB runs the
+        identical string.""",
+    ),
+    "q_sql_frontend_cross": SqlQuery(
+        "SELECT r_name, n_name FROM region CROSS JOIN nation "
+        "WHERE n_regionkey = r_regionkey ORDER BY r_name, n_name",
+        ("region", "nation"),
+        """CROSS JOIN under the gate — broadcast nested loop (right side
+        ships once via the object store, bounded at the broadcast row
+        budget; left streams). The column-to-column WHERE references both
+        sides, so it filters the cartesian post-join — the theta-join
+        spelling. DuckDB runs the identical string.""",
+    ),
+    "q_sql_frontend_exists": SqlQuery(
+        "SELECT o_orderpriority, count(*) AS n FROM orders "
+        "WHERE EXISTS (SELECT r_regionkey FROM region "
+        "WHERE r_name = 'ASIA') "
+        "AND NOT EXISTS (SELECT r_regionkey FROM region "
+        "WHERE r_name = 'ATLANTIS') "
+        "GROUP BY o_orderpriority ORDER BY o_orderpriority",
+        ("orders", "region"),
+        """Uncorrelated [NOT] EXISTS under the gate — each probe evaluates
+        its subquery ONCE (raw projections capped at LIMIT 1 by the
+        parser) and resolves to keep-all or keep-none before the combiner
+        runs; correlated EXISTS stays with the operator API like other
+        correlation. DuckDB runs the identical string.""",
+    ),
+    "q_sql_frontend_script": SqlQuery(
+        """
+CREATE TABLE big AS
+  SELECT o_custkey, o_totalprice FROM orders
+  WHERE o_totalprice > 150000;
+CREATE TABLE spend AS
+  SELECT o_custkey, count(*) AS n,
+         sum(cast(o_totalprice * 100 AS BIGINT)) AS cents
+  FROM big GROUP BY o_custkey;
+SELECT n, count(*) AS n_customers,
+       cast(sum(cents) AS BIGINT) AS total_cents
+FROM spend GROUP BY n ORDER BY n
+""",
+        ("orders",),
+        """Multi-statement SQL script under the gate — CREATE TABLE AS
+        registers each result for later statements (the streamable first
+        CTAS stays a LAZY Dataset re-planned into its consumer; the
+        aggregated second materializes its groups-sized frame), and the
+        final SELECT reads the chain. The oracle folds the script into
+        one CTE statement — semantically identical — so the hash is
+        strict in exact integer cents.""",
+        oracle=ORACLE_SQL_FRONTEND_SCRIPT,
+    ),
+    "q_sql_frontend_exists_corr": SqlQuery(
+        "SELECT o_orderpriority, count(*) AS order_count "
+        "FROM orders o "
+        "WHERE o.o_orderdate >= date '1996-01-01' "
+        "AND o.o_orderdate < date '1996-10-01' "
+        "AND EXISTS (SELECT l_orderkey FROM lineitem l "
+        "WHERE l.l_orderkey = o.o_orderkey AND l.l_quantity >= 48) "
+        "GROUP BY o_orderpriority ORDER BY o_orderpriority",
+        ("orders", "lineitem"),
+        """TPC-H Q4 in its NATIVE correlated-EXISTS spelling: the planner
+        decorrelates the single qualified equality into a hash semi-join
+        key set (inner-only predicates stay with the inner scan), so the
+        correlated form runs identically to the IN-subquery form — both
+        sides stream, nothing per-row. DuckDB runs the identical string;
+        the companion q_sql_frontend_tpch_q4 pins the IN spelling to the
+        same answer.""",
+    ),
+    "q_sql_frontend_pivot": SqlQuery(
+        "PIVOT events ON event_type USING count(value) "
+        "GROUP BY user_id ORDER BY user_id",
+        ("events",),
+        """DuckDB's PIVOT statement form under the gate, compiled to
+        pivot_agg: per-batch combiners on (keys, pivot), ONE key shuffle,
+        reshape over the output-sized table; pivoted column names are the
+        category values and missing count cells are 0 — DuckDB's rules.
+        DuckDB runs the identical statement.""",
+    ),
+    "q_sql_frontend_unpivot": SqlQuery(
+        "UNPIVOT part ON p_size, p_retailprice INTO NAME metric VALUE val",
+        ("part",),
+        """DuckDB's UNPIVOT statement form under the gate — per-batch melt
+        (no shuffle, no state), every non-listed column rides as an id,
+        NULL cells drop, mixed numeric columns coerce to double in both
+        engines. DuckDB runs the identical statement.""",
+    ),
+    "q_sql_frontend_q22_native": SqlQuery(
+        "SELECT substring(c_name, 18, 1) AS cntrycode, count(*) AS numcust, "
+        "cast(sum(cast(round(c_acctbal * 100) AS bigint)) AS bigint) "
+        "AS totacctbal_c "
+        "FROM customer c "
+        "WHERE substring(c_name, 18, 1) IN ('0', '1', '2', '3', '4') "
+        "AND c_acctbal > (SELECT avg(c_acctbal) FROM customer "
+        "WHERE c_acctbal > 0.0) "
+        "AND NOT EXISTS (SELECT o_custkey FROM orders o "
+        "WHERE o.o_custkey = c.c_custkey AND o.o_orderstatus = 'F') "
+        "GROUP BY cntrycode ORDER BY cntrycode",
+        ("customer", "orders"),
+        """TPC-H Q22 in its NATIVE correlated NOT-EXISTS spelling — the
+        planner decorrelates the single qualified equality into a hash
+        anti-join key set (the inner status filter stays with the inner
+        scan), alongside the substring country-code key and the
+        scalar-aggregate threshold. Same answer as the NOT-IN companion
+        q_sql_frontend_tpch_q22; DuckDB runs the identical string.""",
+    ),
+    "q_sql_frontend_gsets": SqlQuery(
+        "SELECT o_orderpriority, o_orderstatus, count(*) AS n, "
+        "cast(sum(o_custkey) AS bigint) AS ck, min(o_orderkey) AS k_min "
+        "FROM orders GROUP BY GROUPING SETS "
+        "((o_orderpriority, o_orderstatus), (o_orderstatus), ()) "
+        "ORDER BY o_orderpriority, o_orderstatus, n",
+        ("orders",),
+        """GROUP BY GROUPING SETS under the gate: exactly the requested
+        sets recompose from ONE combiner pass over the union of keys (the
+        finest level appears only if asked for), with SQL-NULL keys for
+        the grouped-out columns; DuckDB runs the identical string.
+        Integer-exact outputs keep the hash strict.""",
+    ),
+    "q_sql_frontend_scalarfn": SqlQuery(
+        "SELECT o_orderstatus, "
+        "cast(sum(coalesce(nullif(least(o_custkey, 500), 500), 0)) "
+        "AS bigint) AS s1, "
+        "max(greatest(o_custkey, o_orderkey / 4)) AS g1, "
+        "cast(min(least(o_custkey, o_orderkey)) AS bigint) AS l1, "
+        "cast(sum(abs(o_custkey - 700)) AS bigint) AS sa, "
+        "sum(floor(o_totalprice / 1000)) AS fl, "
+        "sum(ceil(o_totalprice / 1000)) AS ce "
+        "FROM orders GROUP BY o_orderstatus ORDER BY o_orderstatus",
+        ("orders",),
+        """Scalar numeric functions under the gate — coalesce / nullif /
+        greatest / least / abs / floor / ceil nested inside aggregates,
+        evaluated as one vectorized derive stage before the combiner;
+        DuckDB runs the identical string. floor/ceil/abs over exact
+        dyadic quotients and greatest/least over ints are IEEE-identical
+        in both engines, so the hash stays strict.""",
+    ),
+    "q_sql_frontend_datefn": SqlQuery(
+        "SELECT date_trunc('month', ts) AS mo, extract(dow from ts) AS dw, "
+        "count(*) AS n, min(event_id) AS e_min "
+        "FROM events GROUP BY mo, dw ORDER BY mo, dw",
+        ("events",),
+        """date_trunc + extract under the gate: a temporal derive column
+        and a numeric extract leaf both serving as GROUP BY keys (dow is
+        Sunday=0); DuckDB runs the identical string. Timestamps and
+        bigints hash exactly.""",
+    ),
+    "q_sql_frontend_strfn": SqlQuery(
+        "SELECT lower(c_mktsegment) AS seg, "
+        "substring(c_name, 15, 2) AS sk, count(*) AS n, "
+        "cast(sum(length(c_name || c_mktsegment)) AS bigint) AS sl, "
+        "min(c_custkey) AS k_min, "
+        "min(c_name) AS nm_min, max(c_name) AS nm_max "
+        "FROM customer GROUP BY seg, sk ORDER BY seg, sk",
+        ("customer",),
+        """String functions under the gate — lower()/substring() derive
+        columns as GROUP BY keys, length(a || b) as a numeric aggregate
+        leaf, and min/max OVER STRING COLUMNS (NULL-skipping object
+        partials that merge like any other combiner column), all evaluated
+        as one vectorized derive stage (pyarrow utf8 kernels on the
+        pure-Arrow path) before the combiner; DuckDB runs the identical
+        string. Strings and bigints hash exactly.""",
+    ),
+    "q_sql_frontend_strpred": SqlQuery(
+        "SELECT c_custkey, c_name, replace(c_mktsegment, 'I', '!') AS segx "
+        "FROM customer "
+        "WHERE (lower(c_mktsegment) LIKE '%i%' "
+        "AND right(c_name, 1) IN ('0', '5')) "
+        "OR trim(c_name) <> c_name "
+        "ORDER BY c_custkey LIMIT 400",
+        ("customer",),
+        """String-expression predicates under the gate — function-call
+        LHS in LIKE / IN / <>-vs-column (cmp2 with a string-expression
+        side), compiled to the same zero-copy pyarrow masks as plain
+        column predicates and pushed below any join; plus a replace()
+        derive in the select list. DuckDB runs the identical string; the
+        c_custkey total order plus LIMIT keeps the page deterministic.""",
+    ),
+    "q_sql_frontend_tpch_q7": SqlQuery(
+        "WITH n1 AS (SELECT DISTINCT n_nationkey AS n1_key, "
+        "n_name AS supp_nation FROM nation), "
+        "n2 AS (SELECT DISTINCT n_nationkey AS n2_key, "
+        "n_name AS cust_nation FROM nation) "
+        "SELECT supp_nation, cust_nation, "
+        "extract(year from l_shipdate) AS l_year, "
+        + _CENTS_REV + " AS revenue, count(*) AS n_items "
+        "FROM supplier "
+        "JOIN lineitem ON supplier.s_suppkey = lineitem.l_suppkey "
+        "JOIN orders ON lineitem.l_orderkey = orders.o_orderkey "
+        "JOIN customer ON orders.o_custkey = customer.c_custkey "
+        "JOIN n1 ON supplier.s_nationkey = n1.n1_key "
+        "JOIN n2 ON customer.c_nationkey = n2.n2_key "
+        "WHERE ((supp_nation = 'NATION_3' AND cust_nation = 'NATION_8') "
+        "OR (supp_nation = 'NATION_8' AND cust_nation = 'NATION_3')) "
+        "AND l_shipdate >= '1995-01-01' AND l_shipdate <= '1996-12-31' "
+        "GROUP BY supp_nation, cust_nation, l_year "
+        "ORDER BY supp_nation, cust_nation, l_year",
+        ("nation", "supplier", "lineitem", "orders", "customer"),
+        """TPC-H Q7 (volume shipping between two nations) under the gate.
+        The classic self-join of nation is expressed as two DISTINCT
+        column-renaming CTEs (the engine's result-sized CTE rule; nation
+        keys are unique so DISTINCT is a no-op), joined into a FIVE-table
+        left-deep chain, with the symmetric (supp, cust) OR condition in
+        the post-join WHERE and extract(year) as a GROUP BY key. Revenue
+        in exact integer cents — hash-exact vs DuckDB on the identical
+        string.""",
+    ),
+    "q_sql_frontend_tpch_q8": SqlQuery(
+        "WITH n1 AS (SELECT DISTINCT n_nationkey AS n1_key, "
+        "n_regionkey AS n1_rkey FROM nation), "
+        "n2 AS (SELECT DISTINCT n_nationkey AS n2_key, "
+        "n_name AS supp_nation FROM nation) "
+        "SELECT extract(year from o_orderdate) AS o_year, "
+        "round(sum(CASE WHEN supp_nation = 'NATION_8' THEN "
+        "cast(round(l_extendedprice * 100) AS bigint) * "
+        "(100 - cast(round(l_discount * 100) AS bigint)) ELSE 0 END) "
+        "* 1.0 / sum(cast(round(l_extendedprice * 100) AS bigint) * "
+        "(100 - cast(round(l_discount * 100) AS bigint))), 6) AS mkt_share "
+        "FROM part "
+        "JOIN lineitem ON part.p_partkey = lineitem.l_partkey "
+        "JOIN supplier ON lineitem.l_suppkey = supplier.s_suppkey "
+        "JOIN orders ON lineitem.l_orderkey = orders.o_orderkey "
+        "JOIN customer ON orders.o_custkey = customer.c_custkey "
+        "JOIN n1 ON customer.c_nationkey = n1.n1_key "
+        "JOIN region ON n1.n1_rkey = region.r_regionkey "
+        "JOIN n2 ON supplier.s_nationkey = n2.n2_key "
+        "WHERE r_name = 'ASIA' AND p_type = 'ECONOMY' "
+        "AND o_orderdate >= '1995-01-01' AND o_orderdate <= '1996-12-31' "
+        "GROUP BY o_year ORDER BY o_year",
+        (
+            "nation",
+            "region",
+            "part",
+            "supplier",
+            "lineitem",
+            "orders",
+            "customer",
+        ),
+        """TPC-H Q8 (national market share) under the gate: a SEVEN-table
+        left-deep join chain (part, lineitem, supplier, orders, customer,
+        both nation roles via renaming CTEs, region), a conditional
+        aggregate (CASE inside sum) over exact integer-cent volumes, and
+        a post-aggregate share division rounded to 6 places — both
+        engines divide the identical exact integers, so the quotient is
+        the identical double. Hash-exact vs DuckDB.""",
+    ),
+    "q_sql_frontend_tpch_q9": SqlQuery(
+        "SELECT n_name, extract(year from o_orderdate) AS o_year, "
+        + _CENTS_REV + " AS sum_profit "
+        "FROM part "
+        "JOIN lineitem ON part.p_partkey = lineitem.l_partkey "
+        "JOIN supplier ON lineitem.l_suppkey = supplier.s_suppkey "
+        "JOIN orders ON lineitem.l_orderkey = orders.o_orderkey "
+        "JOIN nation ON supplier.s_nationkey = nation.n_nationkey "
+        "WHERE p_name LIKE '%gear%' "
+        "GROUP BY n_name, o_year ORDER BY n_name, o_year DESC",
+        ("nation", "part", "supplier", "lineitem", "orders"),
+        """TPC-H Q9 (product-type profit by nation and year) under the
+        gate, adapted to the schema: the synthetic tables carry no
+        partsupp/ps_supplycost, so profit reduces to discounted revenue
+        (exact integer cents). Substring LIKE on p_name at the scan,
+        five-table chain, extract(year) GROUP BY key, ORDER BY with a
+        DESC component. Hash-exact vs DuckDB on the identical string.""",
+    ),
+    "q_sql_frontend_tpch_q12": SqlQuery(
+        "SELECT l_returnflag, "
+        "cast(sum(CASE WHEN o_orderpriority = '1-URGENT' "
+        "OR o_orderpriority = '2-HIGH' THEN 1 ELSE 0 END) AS bigint) "
+        "AS high_line_count, "
+        "cast(sum(CASE WHEN o_orderpriority <> '1-URGENT' "
+        "AND o_orderpriority <> '2-HIGH' THEN 1 ELSE 0 END) AS bigint) "
+        "AS low_line_count "
+        "FROM orders JOIN lineitem ON orders.o_orderkey = lineitem.l_orderkey "
+        "WHERE l_shipdate >= '1996-01-01' AND l_shipdate < '1997-01-01' "
+        "GROUP BY l_returnflag ORDER BY l_returnflag",
+        ("orders", "lineitem"),
+        """TPC-H Q12 (shipping-priority line counts) under the gate,
+        adapted: the synthetic lineitem has no l_shipmode/commit/receipt
+        dates, so the priority-class CASE counts group by l_returnflag
+        over a ship-date year — the same two complementary conditional
+        aggregates over one join. Integer counts hash exactly.""",
+    ),
+    "q_sql_frontend_tpch_q21": SqlQuery(
+        "SELECT s_name, count(*) AS numwait "
+        "FROM supplier JOIN lineitem ON supplier.s_suppkey = "
+        "lineitem.l_suppkey "
+        "WHERE l_returnflag = 'R' AND l_orderkey IN "
+        "(SELECT l_orderkey FROM lineitem GROUP BY l_orderkey "
+        "HAVING count(DISTINCT l_suppkey) > 1) "
+        "GROUP BY s_name ORDER BY numwait DESC, s_name LIMIT 20",
+        ("supplier", "lineitem"),
+        """TPC-H Q21 (suppliers who kept orders waiting) under the gate,
+        adapted: without commit/receipt dates the correlated EXISTS pair
+        becomes its set-semantics core — returned ('R') lineitems on
+        MULTI-SUPPLIER orders, via an aggregated IN-subquery whose HAVING
+        uses exact count(DISTINCT). The subquery's distinct-supplier
+        count runs as the bucketed distinct pass; the probe is a shuffle
+        semi-join. DESC count with s_name tie-break keeps the LIMIT page
+        total-ordered — hash-exact.""",
+    ),
+    "q_sql_frontend_tpch_q22": SqlQuery(
+        "SELECT substring(c_name, 18, 1) AS cntrycode, count(*) AS numcust, "
+        "cast(sum(cast(round(c_acctbal * 100) AS bigint)) AS bigint) "
+        "AS totacctbal_c "
+        "FROM customer "
+        "WHERE substring(c_name, 18, 1) IN ('0', '1', '2', '3', '4') "
+        "AND c_acctbal > (SELECT avg(c_acctbal) FROM customer "
+        "WHERE c_acctbal > 0.0) "
+        "AND c_custkey NOT IN (SELECT o_custkey FROM orders "
+        "WHERE o_orderstatus = 'F') "
+        "GROUP BY cntrycode ORDER BY cntrycode",
+        ("customer", "orders"),
+        """TPC-H Q22 (global sales opportunity) under the gate, adapted:
+        the synthetic customer has no c_phone, so the country code is a
+        substring of c_name (the last key digit) — a STRING-FUNCTION
+        predicate LHS and GROUP BY key. Keeps all three Q22 mechanisms:
+        the substring IN-list, the scalar-aggregate subquery threshold
+        (avg over positive balances; both engines compare the identical
+        double), and NOT IN an uncorrelated subquery (customers with no
+        'F'-status orders — the no-orders-at-all form is empty at every
+        sf because every customer orders). Account balances summed in
+        exact cents — hash-exact.""",
+    ),
+    "q_sql_frontend_full_join": SqlQuery(
+        "WITH hc AS (SELECT c_nationkey AS nk_c, count(*) AS n_cust, "
+        "cast(sum(cast(round(c_acctbal * 100) AS bigint)) AS bigint) "
+        "AS cust_bal_c "
+        "FROM customer WHERE c_acctbal > 9000 GROUP BY c_nationkey), "
+        "hs AS (SELECT s_nationkey AS nk_s, count(*) AS n_supp "
+        "FROM supplier WHERE s_acctbal > 5000 GROUP BY s_nationkey) "
+        "SELECT nk_c, nk_s, n_cust, n_supp, cust_bal_c "
+        "FROM hc FULL OUTER JOIN hs ON hc.nk_c = hs.nk_s "
+        "ORDER BY nk_c, nk_s",
+        ("customer", "supplier"),
+        """FULL OUTER JOIN under the gate: per-nation high-balance
+        customer and supplier rollups (aggregated CTEs) full-joined on
+        nation key — nations rich on only one side genuinely exercise
+        both preserved directions (each side's key column NULL on the
+        other side's rows, which is why the engine joins on renamed
+        copies of BOTH keys: Ray/Acero would otherwise coalesce them).
+        Balances in exact cents — hash-exact vs DuckDB.""",
+    ),
+    "q_sql_frontend_right_join": SqlQuery(
+        "WITH hs AS (SELECT s_nationkey AS nk, count(*) AS n_high, "
+        "cast(sum(cast(round(s_acctbal * 100) AS bigint)) AS bigint) "
+        "AS bal_c "
+        "FROM supplier WHERE s_acctbal > 8000 GROUP BY s_nationkey) "
+        "SELECT n_name, n_high, bal_c FROM hs "
+        "RIGHT JOIN nation ON hs.nk = nation.n_nationkey "
+        "ORDER BY n_name",
+        ("supplier", "nation"),
+        """RIGHT [OUTER] JOIN under the gate: every nation survives with
+        NULL rollup columns where no high-balance supplier exists — at
+        sf0.001 the left side is provably EMPTY and the planner resolves
+        it (NULL-pads the preserved right side) without running a join at
+        all, the same short-circuit that guards Ray's no-schema-on-empty
+        hazard. Hash-exact vs DuckDB.""",
+    ),
+    "q_sql_frontend_left_join": SqlQuery(
+        "SELECT c_mktsegment, count(o_orderkey) AS n_orders, "
+        "count(*) AS n_rows "
+        "FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey "
+        "GROUP BY c_mktsegment ORDER BY c_mktsegment",
+        ("customer", "orders"),
+        """LEFT OUTER variant: customers with no orders survive the join and
+        count(col) skips their NULLs while count(*) keeps the row — the
+        classic outer-join counting asymmetry, hash-gated against DuckDB on
+        the identical string.""",
+    ),
+}
 
 
 def q_events_weighted_sample(sf_dir: str):
@@ -9583,65 +9132,7 @@ QUERIES = {
     "q_events_top_paths": q_events_top_paths,
     "q_events_attribution": q_events_attribution,
     "q_events_auc": q_events_auc,
-    "q_sql_frontend_events": q_sql_frontend_events,
-    "q_sql_frontend_orders": q_sql_frontend_orders,
-    "q_sql_frontend_lineitem": q_sql_frontend_lineitem,
-    "q_sql_frontend_join": q_sql_frontend_join,
-    "q_sql_frontend_window": q_sql_frontend_window,
-    "q_sql_frontend_subquery": q_sql_frontend_subquery,
-    "q_sql_frontend_scalar_subq": q_sql_frontend_scalar_subq,
-    "q_sql_frontend_quantile": q_sql_frontend_quantile,
-    "q_sql_frontend_chain": q_sql_frontend_chain,
-    "q_sql_frontend_time": q_sql_frontend_time,
-    "q_sql_frontend_union": q_sql_frontend_union,
-    "q_sql_frontend_filter": q_sql_frontend_filter,
-    "q_sql_frontend_case": q_sql_frontend_case,
-    "q_sql_frontend_bool": q_sql_frontend_bool,
-    "q_sql_frontend_expr": q_sql_frontend_expr,
-    "q_sql_frontend_tpch_q1": q_sql_frontend_tpch_q1,
-    "q_sql_frontend_tumbling_6h": q_sql_frontend_tumbling_6h,
-    "q_sql_frontend_tpch_q3": q_sql_frontend_tpch_q3,
-    "q_sql_frontend_tpch_q5": q_sql_frontend_tpch_q5,
-    "q_sql_frontend_tpch_q6": q_sql_frontend_tpch_q6,
-    "q_sql_frontend_tpch_q10": q_sql_frontend_tpch_q10,
-    "q_sql_frontend_tpch_q4": q_sql_frontend_tpch_q4,
-    "q_sql_frontend_tpch_q19": q_sql_frontend_tpch_q19,
-    "q_sql_frontend_like": q_sql_frontend_like,
-    "q_sql_frontend_tpch_q14": q_sql_frontend_tpch_q14,
-    "q_sql_frontend_tpch_q18": q_sql_frontend_tpch_q18,
-    "q_sql_frontend_tpch_q13": q_sql_frontend_tpch_q13,
-    "q_sql_frontend_qualify": q_sql_frontend_qualify,
-    "q_sql_frontend_tpch_q15": q_sql_frontend_tpch_q15,
-    "q_sql_frontend_tpch_q17": q_sql_frontend_tpch_q17,
-    "q_sql_frontend_setops": q_sql_frontend_setops,
-    "q_sql_frontend_rollup": q_sql_frontend_rollup,
-    "q_sql_frontend_stddev": q_sql_frontend_stddev,
-    "q_sql_frontend_corr": q_sql_frontend_corr,
-    "q_sql_frontend_median": q_sql_frontend_median,
-    "q_sql_frontend_argmax": q_sql_frontend_argmax,
-    "q_sql_frontend_winframe": q_sql_frontend_winframe,
-    "q_sql_frontend_stragg": q_sql_frontend_stragg,
-    "q_sql_frontend_cross": q_sql_frontend_cross,
-    "q_sql_frontend_exists": q_sql_frontend_exists,
-    "q_sql_frontend_script": q_sql_frontend_script,
-    "q_sql_frontend_exists_corr": q_sql_frontend_exists_corr,
-    "q_sql_frontend_pivot": q_sql_frontend_pivot,
-    "q_sql_frontend_unpivot": q_sql_frontend_unpivot,
-    "q_sql_frontend_q22_native": q_sql_frontend_q22_native,
-    "q_sql_frontend_gsets": q_sql_frontend_gsets,
-    "q_sql_frontend_scalarfn": q_sql_frontend_scalarfn,
-    "q_sql_frontend_datefn": q_sql_frontend_datefn,
-    "q_sql_frontend_strfn": q_sql_frontend_strfn,
-    "q_sql_frontend_strpred": q_sql_frontend_strpred,
-    "q_sql_frontend_tpch_q7": q_sql_frontend_tpch_q7,
-    "q_sql_frontend_tpch_q8": q_sql_frontend_tpch_q8,
-    "q_sql_frontend_tpch_q9": q_sql_frontend_tpch_q9,
-    "q_sql_frontend_tpch_q12": q_sql_frontend_tpch_q12,
-    "q_sql_frontend_tpch_q21": q_sql_frontend_tpch_q21,
-    "q_sql_frontend_tpch_q22": q_sql_frontend_tpch_q22,
-    "q_sql_frontend_full_join": q_sql_frontend_full_join,
-    "q_sql_frontend_right_join": q_sql_frontend_right_join,
-    "q_sql_frontend_left_join": q_sql_frontend_left_join,
+    **{name: _sql_query(name) for name in SQL_FRONTEND},
     "q_events_user_gini": q_events_user_gini,
     "q_events_weighted_sample": q_events_weighted_sample,
     "q_events_incremental_agg": q_events_incremental_agg,
@@ -10072,65 +9563,8 @@ def oracles_for(sf_dir: str) -> dict[str, str]:
         "q_events_top_paths": ORACLE_EVENTS_TOP_PATHS,
         "q_events_attribution": ORACLE_EVENTS_ATTRIBUTION,
         "q_events_auc": ORACLE_EVENTS_AUC,
-        "q_sql_frontend_events": SQL_FRONTEND_EVENTS,
-        "q_sql_frontend_orders": SQL_FRONTEND_ORDERS,
-        "q_sql_frontend_lineitem": SQL_FRONTEND_LINEITEM,
-        "q_sql_frontend_join": SQL_FRONTEND_JOIN,
-        "q_sql_frontend_window": SQL_FRONTEND_WINDOW,
-        "q_sql_frontend_subquery": SQL_FRONTEND_SUBQUERY,
-        "q_sql_frontend_scalar_subq": SQL_FRONTEND_SCALAR_SUBQ,
-        "q_sql_frontend_quantile": SQL_FRONTEND_QUANTILE,
-        "q_sql_frontend_chain": SQL_FRONTEND_CHAIN,
-        "q_sql_frontend_time": SQL_FRONTEND_TIME,
-        "q_sql_frontend_union": SQL_FRONTEND_UNION,
-        "q_sql_frontend_filter": SQL_FRONTEND_FILTER,
-        "q_sql_frontend_case": SQL_FRONTEND_CASE,
-        "q_sql_frontend_bool": SQL_FRONTEND_BOOL,
-        "q_sql_frontend_expr": SQL_FRONTEND_EXPR,
-        "q_sql_frontend_tpch_q1": SQL_FRONTEND_TPCH_Q1,
-        "q_sql_frontend_tumbling_6h": SQL_FRONTEND_TUMBLING,
-        "q_sql_frontend_tpch_q3": SQL_FRONTEND_TPCH_Q3,
-        "q_sql_frontend_tpch_q5": SQL_FRONTEND_TPCH_Q5,
-        "q_sql_frontend_tpch_q6": SQL_FRONTEND_TPCH_Q6,
-        "q_sql_frontend_tpch_q10": SQL_FRONTEND_TPCH_Q10,
-        "q_sql_frontend_tpch_q4": SQL_FRONTEND_TPCH_Q4,
-        "q_sql_frontend_tpch_q19": SQL_FRONTEND_TPCH_Q19,
-        "q_sql_frontend_like": SQL_FRONTEND_LIKE,
-        "q_sql_frontend_tpch_q14": SQL_FRONTEND_TPCH_Q14,
-        "q_sql_frontend_tpch_q18": SQL_FRONTEND_TPCH_Q18,
-        "q_sql_frontend_tpch_q13": SQL_FRONTEND_TPCH_Q13,
-        "q_sql_frontend_qualify": SQL_FRONTEND_QUALIFY,
-        "q_sql_frontend_tpch_q15": SQL_FRONTEND_TPCH_Q15,
-        "q_sql_frontend_tpch_q17": SQL_FRONTEND_TPCH_Q17,
-        "q_sql_frontend_setops": SQL_FRONTEND_SETOPS,
-        "q_sql_frontend_rollup": SQL_FRONTEND_ROLLUP,
-        "q_sql_frontend_stddev": ORACLE_SQL_FRONTEND_STDDEV,
-        "q_sql_frontend_corr": ORACLE_SQL_FRONTEND_CORR,
-        "q_sql_frontend_median": SQL_FRONTEND_MEDIAN,
-        "q_sql_frontend_argmax": ORACLE_SQL_FRONTEND_ARGMAX,
-        "q_sql_frontend_winframe": SQL_FRONTEND_WINFRAME,
-        "q_sql_frontend_stragg": SQL_FRONTEND_STRAGG,
-        "q_sql_frontend_cross": SQL_FRONTEND_CROSS,
-        "q_sql_frontend_exists": SQL_FRONTEND_EXISTS,
-        "q_sql_frontend_script": ORACLE_SQL_FRONTEND_SCRIPT,
-        "q_sql_frontend_exists_corr": SQL_FRONTEND_EXISTS_CORR,
-        "q_sql_frontend_pivot": SQL_FRONTEND_PIVOT,
-        "q_sql_frontend_unpivot": SQL_FRONTEND_UNPIVOT,
-        "q_sql_frontend_q22_native": SQL_FRONTEND_Q22_NATIVE,
-        "q_sql_frontend_gsets": SQL_FRONTEND_GSETS,
-        "q_sql_frontend_scalarfn": SQL_FRONTEND_SCALARFN,
-        "q_sql_frontend_datefn": SQL_FRONTEND_DATEFN,
-        "q_sql_frontend_strfn": SQL_FRONTEND_STRFN,
-        "q_sql_frontend_strpred": SQL_FRONTEND_STRPRED,
-        "q_sql_frontend_tpch_q7": SQL_FRONTEND_TPCH_Q7,
-        "q_sql_frontend_tpch_q8": SQL_FRONTEND_TPCH_Q8,
-        "q_sql_frontend_tpch_q9": SQL_FRONTEND_TPCH_Q9,
-        "q_sql_frontend_tpch_q12": SQL_FRONTEND_TPCH_Q12,
-        "q_sql_frontend_tpch_q21": SQL_FRONTEND_TPCH_Q21,
-        "q_sql_frontend_tpch_q22": SQL_FRONTEND_TPCH_Q22,
-        "q_sql_frontend_full_join": SQL_FRONTEND_FULL_JOIN,
-        "q_sql_frontend_right_join": SQL_FRONTEND_RIGHT_JOIN,
-        "q_sql_frontend_left_join": SQL_FRONTEND_LEFT_JOIN,
+        **{name: q.oracle or q.sql
+           for name, q in SQL_FRONTEND.items()},
         "q_events_user_gini": ORACLE_EVENTS_USER_GINI,
         "q_events_weighted_sample": ORACLE_EVENTS_WEIGHTED_SAMPLE,
         "q_events_incremental_agg": ORACLE_EVENTS_INCREMENTAL_AGG,
@@ -10178,8 +9612,4 @@ def oracles_for(sf_dir: str) -> dict[str, str]:
         "doc_curation_pack": _curation_oracle_sql(),
         "doc_langid": _langid_oracle_sql(),
         "emb_label_centroid_norms": ORACLE_EMB_CENTROID_NORMS,
-        # rows-only (non-SQL-expressible): kg_triple_score,
-        # doc_fingerprints, doc_minhash_dedup, doc_simhash_dedup,
-        # knn_lsh_top10, knn_ivf_top10, emb_kmeans_clusters,
-        # doc_dedup_keep_best, q_events_user_hll
     }

@@ -40,8 +40,9 @@ are the same with one group; a plain projection streams through
 `select_columns` + `limit`. Nothing row-wise runs in Python.
 
 Every construct is differentially fuzzed against DuckDB executing the
-IDENTICAL string (tests/test_sql_frontend.py), and ten oracled queries
-(q_sql_frontend_*) route through it end to end under the driver's
+IDENTICAL string (tests/test_sql_frontend.py), and the oracled
+q_sql_frontend_* queries (the SQL_FRONTEND table in
+pipelines/queries.py) route through it end to end under the driver's
 hash gate.
 """
 

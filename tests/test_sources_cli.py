@@ -669,16 +669,25 @@ def test_cli_stream_distinct_topk(tmp_path):
 
 def test_operators_md_count_matches_queries():
     """docs/OPERATORS.md header count must equal len(queries()) — the
-    round-4 docs drift (257 vs 256) regression pin."""
+    round-4 docs drift (257 vs 256) regression pin — and the whole file
+    must be what tools/gen_operators_md.py renders from the registry, so
+    no query description can change without the file following."""
+    import importlib.util
     import os
     import re
 
     import __ray_entry__ as e
 
     n = len(e.queries())
-    md = open(os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "docs", "OPERATORS.md")).read()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    md = open(os.path.join(root, "docs", "OPERATORS.md")).read()
     m = re.search(r"\*\*(\d+) queries, (\d+) SQL-oracled\.\*\*", md)
     assert m, "OPERATORS.md header count line missing"
     assert int(m.group(1)) == n, (m.group(1), n)
     assert int(m.group(2)) == len(e.oracle_sql())
+    spec = importlib.util.spec_from_file_location(
+        "gen_operators_md", os.path.join(root, "tools", "gen_operators_md.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.render() == md, "stale docs/OPERATORS.md: run " \
+        "python tools/gen_operators_md.py"

@@ -2457,3 +2457,26 @@ def test_time_bucket_widths(ray_session):
         run_sql("SELECT time_bucket(INTERVAL '0 hours', ts) AS w, "
                 "count(*) AS n FROM e GROUP BY w",
                 {"e": rd.from_pandas(ev)})
+
+
+def test_sql_frontend_table_registered_and_tables_exact():
+    """Every SQL_FRONTEND entry is a queries() and oracle_sql() key, and
+    its ``tables`` are exactly the tables its SQL reads: run_sql fails on
+    a missing table but not on an extra one, so DuckDB's binder is the
+    reference. PIVOT, UNPIVOT and the multi-statement script cannot be
+    bound without data, so they are left out of the table check. Each
+    query also survives plain pickle with its description."""
+    import pickle
+
+    import __ray_entry__ as e
+    from recon_ray.pipelines.queries import SQL_FRONTEND
+
+    queries, oracles = e.queries(), e.oracle_sql()
+    con = duckdb.connect()
+    unbound = {"q_sql_frontend_pivot", "q_sql_frontend_unpivot",
+               "q_sql_frontend_script"}
+    for name, q in SQL_FRONTEND.items():
+        assert name in queries and name in oracles, name
+        assert pickle.loads(pickle.dumps(queries[name])).__doc__ == q.doc
+        if name not in unbound:
+            assert set(q.tables) == con.get_table_names(q.sql), name

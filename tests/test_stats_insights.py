@@ -36,6 +36,17 @@ def test_label_counts(gold_mentions_ds, gold_mentions_df):
     pd.testing.assert_frame_equal(got, want[["label", "count"]])
 
 
+def test_label_counts_empty():
+    """No mentions: a 0-row (label, count int64) frame, not a KeyError
+    from sorting the column-less frame Ray's groupby returns."""
+    from recon_ray.stages.explode import MENTIONS_FLAT_SCHEMA
+
+    got = st.label_counts(rd.from_arrow(MENTIONS_FLAT_SCHEMA.empty_table()))
+    assert list(got.columns) == ["label", "count"]
+    assert len(got) == 0
+    assert got["label"].dtype == object and got["count"].dtype == "int64"
+
+
 def test_entity_coverage(gold_mentions_ds, gold_mentions_df):
     got = st.entity_coverage(gold_mentions_ds).to_pandas()
     df = gold_mentions_df.copy()

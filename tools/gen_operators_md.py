@@ -27,7 +27,8 @@ def first_line(fn) -> str:
     return s if len(s) < 160 else s[:157] + "..."
 
 
-def main() -> None:
+def render() -> str:
+    """The text of docs/OPERATORS.md for the current registry."""
     qs = entry.queries()
     oracles = entry.oracle_sql()
     groups: dict[str, list[str]] = {}
@@ -35,7 +36,6 @@ def main() -> None:
         prefix = name.split("_", 1)[0]
         gate = "SQL oracle (rows+schema+value-hash)" if name in oracles \
             else "rows-only (pytest-verified)"
-        mod = getattr(fn, "__module__", "?")
         groups.setdefault(prefix, []).append(
             f"| `{name}` | {gate} | {first_line(fn)} |"
         )
@@ -70,9 +70,13 @@ def main() -> None:
                   "|---|---|---|"]
         lines += sorted(groups[p])
         lines.append("")
+    return "\n".join(lines)
+
+
+def main() -> None:
     with open("docs/OPERATORS.md", "w") as f:
-        f.write("\n".join(lines))
-    print(f"wrote docs/OPERATORS.md ({len(qs)} queries)")
+        f.write(render())
+    print(f"wrote docs/OPERATORS.md ({len(entry.queries())} queries)")
 
 
 if __name__ == "__main__":

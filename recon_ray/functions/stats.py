@@ -31,6 +31,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray.data as rd
 
 from ray.data.aggregate import Sum
 
@@ -105,9 +106,17 @@ def _partial_coverage(batch: pa.Table, case_sensitive: bool) -> pa.Table:
     return g.rename_columns(["text", "label", "partial"])
 
 
+#: entity_coverage over no mentions: Ray's groupby over no rows returns
+#: blocks without any columns, so the empty result is this table instead
+_EMPTY_COVERAGE = pa.table({"text": pa.array([], pa.string()),
+                            "label": pa.array([], pa.string()),
+                            "count": pa.array([], pa.int64())})
+
+
 def entity_coverage(mentions_ds, case_sensitive: bool = False):
     """(text, label, count) sorted desc — the canonical wide shuffle.
-    Returns a Dataset (callers .to_pandas() small results or write big ones)."""
+    Returns a materialized Dataset (callers .to_pandas() small results or
+    write big ones); an empty one keeps the three columns."""
     partial = mentions_ds.select_columns(["text", "label"]).map_batches(
         lambda b: _partial_coverage(b, case_sensitive),
         batch_format="pyarrow",
@@ -116,15 +125,18 @@ def entity_coverage(mentions_ds, case_sensitive: bool = False):
     out = partial.groupby(["text", "label"]).aggregate(
         Sum("partial", alias_name="count")
     )
-    return out.sort(["count", "text", "label"], descending=[True, False, False])
+    out = out.sort(["count", "text", "label"],
+                   descending=[True, False, False]).materialize()
+    return out if out.count() else rd.from_arrow(_EMPTY_COVERAGE)
 
 
 def entity_coverage_similarity(x_mentions, y_mentions) -> dict:
     """% of y's (text,label) keys — and % of y's count mass — present in x.
     Joins the two (small) coverage aggregates; for vocabulary sizes beyond
     driver RAM, swap the pandas merge for a key-partitioned Dataset join."""
-    xc = entity_coverage(x_mentions).to_pandas()
-    yc = entity_coverage(y_mentions).to_pandas()
+    # Ray's to_pandas() drops the columns of an empty Dataset
+    xc, yc = (entity_coverage(ds).to_pandas().reindex(
+        columns=_EMPTY_COVERAGE.column_names) for ds in (x_mentions, y_mentions))
     m = yc.merge(xc[["text", "label"]], on=["text", "label"], how="left", indicator=True)
     inter = m["_merge"] == "both"
     n_union = len(yc)

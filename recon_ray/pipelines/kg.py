@@ -9,11 +9,11 @@
       → drop content (sha256 travels on)           [block slimming]
       → pin the docs block by block; each block    [streamed off the
           feeds a DEF task, merged remotely into     executor as blocks land]
-          the broadcast symbol dictionary
-      → link + combine: one task per pinned block  [plain ray tasks; the dict
-          links it against that dictionary (or a     is fetched once per
-          caller-given one) and pre-aggregates its   worker process]
-          triples into a canonicalize partial
+          the (repo, name, q) symbol table
+      → link + combine: one task per pinned block  [plain ray tasks; the
+          links it against that table (or a          table is a top-level
+          caller-given one) and pre-aggregates its   argument, read
+          triples into a canonicalize partial        zero-copy]
       → canonicalize tail (range split of the      [the shared exchange
           partials → key-range merge, each range     under a range rule;
           sorted by (subj, pred, obj))               output sorted, no
@@ -27,10 +27,11 @@ Dataset exists, and the returned ``canonical`` Dataset is backed by
 reduce-task refs. Only the exploded mentions stay lazy. Corpora whose
 pinned docs would not fit the object store go through
 ``state/runner.py:run_kg_checkpointed`` shard by shard.
-The correction chain is load-bearing: raw labels are lowercase, CALL
-spans carry trailing whitespace, keyword false-positives must be deleted
-— skipping any step changes the emitted triples (P/R gate vs
-recon_ray/reference_extractor.py).
+The DEF, symbol and link kernels live in ``stages/link.py``; this module
+only wires tasks together. The correction chain is load-bearing: raw
+labels are lowercase, CALL spans carry trailing whitespace, keyword
+false-positives must be deleted — skipping any step changes the emitted
+triples (P/R gate vs recon_ray/reference_extractor.py).
 """
 
 from __future__ import annotations
@@ -43,21 +44,16 @@ import ray.data as rd
 
 from recon_ray.ops import LineageTracker, pipe
 from recon_ray.ops.spans import CORRECTION_CHAIN
-from recon_ray.stages.canonicalize import (_EMPTY_PARTIAL, merge_partials,
-                                           partial_canonicalize)
+from recon_ray.stages.canonicalize import merge_partials, partial_canonicalize
 from recon_ray.stages.detect import detect_batch, scan_symbols_batch
 from recon_ray.stages.explode import explode_mentions
-from recon_ray.stages.link import make_link_batch
+from recon_ray.stages.link import (SYMBOL_ROWS_SCHEMA, defs_of, link_block,
+                                   merge_symbols)
 from recon_ray.stages.streaming import iter_block_refs
 
 #: docs per detector batch — source files average ~1-4 KB here; at 100 TB
 #: with multi-MB files, budget by bytes (target ≲ 32 MiB of content/batch).
 DEFAULT_BATCH_SIZE = 128
-
-
-def _empty_symbols() -> pa.Table:
-    return pa.table({c: pa.array([], pa.string())
-                     for c in ("repo", "module", "name")})
 
 
 def read_files(input_path: str, parallelism: Optional[int] = None):
@@ -71,68 +67,23 @@ def read_files(input_path: str, parallelism: Optional[int] = None):
     return rd.read_parquet(input_path, **kwargs)
 
 
+def _symbol_rows(ds) -> pa.Table:
+    """A Dataset of ``(repo, module, name)`` blocks, collected to the
+    driver (orders of magnitude smaller than the corpus)."""
+    blocks = ray.get(ds.materialize().to_arrow_refs())
+    return pa.concat_tables([b for b in blocks if b.num_rows]
+                            or [SYMBOL_ROWS_SCHEMA.empty_table()])
+
+
 def scan_symbols(files_ds) -> pa.Table:
-    """Pass 1: DEF-only scan → small distinct (repo, module, name) table
-    collected to the driver (orders of magnitude smaller than the corpus).
-    The checkpointed runner builds its global dictionary with it."""
-    symbol_ds = files_ds.map_batches(
+    """Pass 1: DEF-only scan → ``(repo, module, name)`` rows. The
+    checkpointed runner builds its global symbol table with it."""
+    return _symbol_rows(files_ds.map_batches(
         scan_symbols_batch,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=DEFAULT_BATCH_SIZE,
-    )
-    blocks = ray.get(symbol_ds.materialize().to_arrow_refs())
-    blocks = [b for b in blocks if b.num_rows] or [_empty_symbols()]
-    return pa.concat_tables(blocks)
-
-
-def _defs_kernel(batch: pa.Table) -> pa.Table:
-    """Per-block DEF partial: distinct (repo, module, name) rows from the
-    detected mentions. Fully Arrow-native: never converts the mention
-    columns to Python (mentions_parts's to_pylist of text/label/source
-    measured ~70% of this stage); only the DEF subset is ever gathered.
-
-    Vectorized spec.def_name / spec.module_of (equivalence pinned by
-    tests/test_kg_pipeline.py symbol-table equality): last whitespace
-    token of the DEF text; path stem (text after the LAST dot cut,
-    exactly like str.rsplit('.', 1)) with '/' → '.'."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    # an empty read block can reach here without any columns
-    if batch.num_rows == 0 or "mentions" not in batch.column_names:
-        return _empty_symbols()
-    arr = batch.column("mentions")
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    child = arr.flatten()
-    mask = pc.equal(child.field("label"), pa.scalar("DEF"))
-    if not (pc.any(mask).as_py() or False):
-        return _empty_symbols()
-    lengths = arr.value_lengths().fill_null(0).to_numpy(
-        zero_copy_only=False
-    )
-    didx = np.repeat(np.arange(batch.num_rows, dtype=np.int64), lengths)
-    sel = mask.to_numpy(zero_copy_only=False)
-    idx = pa.array(didx[sel])
-    texts = child.field("text").filter(mask)
-    names = pc.struct_field(
-        pc.extract_regex(texts, r"(?P<name>\S+)\s*$"), "name"
-    )
-    modules = pc.replace_substring(
-        pc.replace_substring_regex(
-            batch.column("path").take(idx), r"\.[^.]*$", ""
-        ),
-        "/", ".",
-    )
-    t = pa.table(
-        {
-            "repo": batch.column("repo").take(idx),
-            "module": modules,
-            "name": names,
-        }
-    )
-    return t.group_by(["repo", "module", "name"]).aggregate([])
+    ))
 
 
 def _as_arrow(block) -> pa.Table:
@@ -147,55 +98,30 @@ def _as_arrow(block) -> pa.Table:
 @ray.remote
 def _defs_block(block) -> pa.Table:
     """Task form of the DEF kernel over one materialized doc block."""
-    return _defs_kernel(_as_arrow(block))
+    return defs_of(_as_arrow(block))
 
 
-def _link_kernel(block, symbols: list) -> pa.Table:
-    """Link one pinned doc block and pre-aggregate its triples into the
-    canonicalize partial ``(KEY_COLS, n_mentions, prov)``. ``symbols`` is
-    ``[symbols_ref]``: nested, so Ray hands the task the ref, not a
-    deserialized copy, and make_link_batch fetches the dictionary once
-    per worker process."""
-    block = _as_arrow(block)
-    # an empty block can arrive without any columns
-    if block.num_rows == 0 or "mentions" not in block.column_names:
-        return _EMPTY_PARTIAL
-    return partial_canonicalize(make_link_batch(symbols[0])(block))
+def _link_kernel(block, symbols: pa.Table) -> pa.Table:
+    """Link one pinned doc block against the symbol table and
+    pre-aggregate its triples into the canonicalize partial
+    ``(KEY_COLS, n_mentions, prov)``."""
+    return partial_canonicalize(link_block(_as_arrow(block), symbols))
 
 
 _link_block = ray.remote(_link_kernel)
-
-
-@ray.remote
-def _merge_defs_to_dict(*parts: pa.Table):
-    """Merge per-block DEF partials and build the broadcast symbol DICT
-    off the driver's critical path (the linker workers ray.get this
-    task's return ref — a pending ref simply blocks the first link batch
-    until the build lands)."""
-    from recon_ray.stages.link import (_dedup_symbol_table,
-                                       _dict_from_symbol_table)
-
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return {}
-    t = pa.concat_tables(parts)
-    return _dict_from_symbol_table(_dedup_symbol_table(t))
+_merge_symbols = ray.remote(merge_symbols)
 
 
 def symbols_from_docs(docs_ds) -> pa.Table:
-    """Symbol table derived from the ALREADY-DETECTED mentions: DEF spans
+    """Symbol rows derived from the ALREADY-DETECTED mentions: DEF spans
     survive the correction chain unchanged (SymbolScanner invariant,
     asserted in tests), and the linker derives the name the same way
     (spec.def_name = text.split()[-1]) — so this is exactly the scan
     table without the second corpus read+regex pass (measured 3.5 s @32 /
     5.3 s @8 cpus at 96k files). Requires a MATERIALIZED docs dataset or
     detection runs twice."""
-    sym_ds = docs_ds.map_batches(
-        _defs_kernel, batch_format="pyarrow", zero_copy_batch=True
-    )
-    blocks = ray.get(sym_ds.materialize().to_arrow_refs())
-    blocks = [b for b in blocks if b.num_rows] or [_empty_symbols()]
-    return pa.concat_tables(blocks)
+    return _symbol_rows(docs_ds.map_batches(
+        defs_of, batch_format="pyarrow", zero_copy_batch=True))
 
 
 def run_kg(
@@ -210,12 +136,13 @@ def run_kg(
     canonical partials → merge them.
     Returns the component Datasets (``canonical`` sorted by
     (subj, pred, obj)), the pinned doc block refs behind ``docs``
-    (``doc_refs``), the symbol dictionary ref and the lineage tracker.
+    (``doc_refs``), the symbol table ref and the lineage tracker.
 
-    ``symbols_ref``: pass a pre-broadcast symbol dictionary (ray.put ref)
-    to link against it instead of the dictionary derived from this call's
-    own DEF mentions — the checkpointed runner builds one global
-    dictionary and reuses the ref across shards.
+    ``symbols_ref``: pass a pre-broadcast symbol table (the ref from
+    ``stages/link.py:build_symbol_broadcast``) to link against it instead
+    of the table derived from this call's own DEF mentions — the
+    checkpointed runner builds one global table and reuses the ref across
+    shards.
 
     ``symbol_source``: accepts only ``"mentions"``; kept for existing
     callers of the benchmark and goes when the benchmark is next revised."""
@@ -245,9 +172,9 @@ def run_kg(
 
     # Pin the corrected docs (the linker and the exploded mentions both
     # read them, so detection runs once) by streaming their blocks as
-    # detection finishes them. Without a given dictionary, each block
-    # gets a DEF task as it lands and the dictionary is merged in a
-    # REMOTE task (the DEF partials are tiny next to detection).
+    # detection finishes them. Without a given symbol table, each block
+    # gets a DEF task as it lands and the table is merged in a REMOTE
+    # task (the DEF partials are tiny next to detection).
     derive_symbols = symbols_ref is None
     block_refs, def_parts = [], []
     for ref in iter_block_refs(docs):
@@ -255,15 +182,15 @@ def run_kg(
         if derive_symbols:
             def_parts.append(_defs_block.remote(ref))
     if derive_symbols:
-        symbols_ref = _merge_defs_to_dict.remote(*def_parts)
+        symbols_ref = _merge_symbols.remote(*def_parts)
     # One link task per pinned block, returning its canonicalize partial
     # straight into the shared range exchange: no raw-triples Dataset and
     # no combiner operator, whose Ray Data start-up dominated this phase
     # (1000 files, 4 vCPUs: pinned docs to all partials in 0.58-0.60 s as
-    # link map_batches + combiner, 0.29-0.33 s as these tasks). Submitted
-    # once the dictionary exists, so no link task blocks a worker on it.
-    ray.wait([symbols_ref], fetch_local=False)
-    partials = [_link_block.remote(ref, [symbols_ref]) for ref in block_refs]
+    # link map_batches + combiner, 0.29-0.33 s as these tasks). The symbol
+    # table is a top-level argument: no link task starts before it exists,
+    # and each reads it zero-copy from the object store.
+    partials = [_link_block.remote(ref, symbols_ref) for ref in block_refs]
     canonical = merge_partials(partials)
     # an empty corpus yields no blocks; materialize() keeps its schema
     docs = rd.from_arrow_refs(block_refs) if block_refs else docs.materialize()

@@ -6668,7 +6668,7 @@ SQL_FRONTEND: dict[str, SqlQuery] = {
         ("lineitem",),
         """TPC-H Q17 (small-quantity-order revenue) under the gate, the
         correlated subquery decorrelated into a per-part CTE (the standard
-        rewrite): per-part 20%%-of-average limits from one grouped pass,
+        rewrite): per-part 20%-of-average limits from one grouped pass,
         joined back, with a COLUMN-TO-COLUMN comparison (l_quantity <
         qty_limit) in the post-join WHERE; quantity sums exact, limits
         identical doubles in both engines — hash-exact.""",

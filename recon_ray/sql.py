@@ -2316,7 +2316,8 @@ def _pd_tri(b: pd.DataFrame, node) -> np.ndarray:
     elif kind in ("like", "not_like"):
         rx = "".join(".*" if ch == "%" else "." if ch == "_"
                      else re.escape(ch) for ch in payload)
-        vals = c[nn].astype(str).str.fullmatch(rx)
+        # DOTALL: SQL's % and _ match newlines too
+        vals = c[nn].astype(str).str.fullmatch(rx, flags=re.DOTALL)
         if kind == "not_like":
             vals = ~vals
     else:

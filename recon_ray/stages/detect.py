@@ -26,7 +26,7 @@ class MentionDetector:
     files can be MBs) — callers pass ``batch_size`` accordingly.
     """
 
-    def __init__(self, add_keys: bool = True):
+    def __init__(self):
         # compile once per actor (reference recompiles nothing per doc either;
         # its model load happens once in SpacyEntityRecognizer.__init__)
         self.patterns = {
@@ -41,24 +41,9 @@ class MentionDetector:
             {lbl for pats in self.patterns.values() for (lbl, _, _) in pats}
         )
         self.label_rank = {lbl: i for i, lbl in enumerate(all_labels)}
-        self.add_keys = add_keys
-
-    def detect_one(self, content: str, lang: str) -> list[tuple]:
-        """(text, start, end, label, source) tuples sorted by (start,end,label)
-        — the reference-shaped per-doc form (tests / small callers; the
-        batched __call__ below is the hot path and skips the tuples)."""
-        found: list[tuple] = []
-        for raw_label, pattern, group in self.patterns.get(lang, []):
-            src = f"{lang}:{raw_label}"
-            for m in pattern.finditer(content):
-                found.append(
-                    (m.group(group), m.start(group), m.end(group), raw_label, src)
-                )
-        found.sort(key=lambda t: (t[1], t[2], t[3]))
-        return found
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.add_keys and "content_sha256" not in batch.column_names:
+        if "content_sha256" not in batch.column_names:
             batch = add_content_keys(batch)
         contents = batch.column("content").to_pylist()
         langs = batch.column("lang").to_pylist()

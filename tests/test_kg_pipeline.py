@@ -100,12 +100,9 @@ def test_symbol_dict_matches_reference(kg_result, gold_extraction):
     import ray
 
     res, _, _ = kg_result
-    ray_rows = {
-        (r["id"], r["name"], r["repo"])
-        for repo, names in ray.get(res["symbols_ref"]).items()
-        for name, quals in names.items()
-        for r in [{"id": q, "name": name, "repo": repo} for q in quals]
-    }
+    table = ray.get(res["symbols_ref"])
+    ray_rows = set(zip(*(table.column(c).to_pylist()
+                         for c in ("q", "name", "repo"))))
     gold_rows = {(r["id"], r["name"], r["repo"]) for r in gold_extraction["symbols"]}
     assert ray_rows == gold_rows
 
@@ -268,13 +265,14 @@ def test_small_batches_with_empty_read_blocks(tmp_path):
     from recon_ray.corpusgen import generate_corpus, write_corpus
     from recon_ray.pipelines.kg import _defs_block, _link_block
     from recon_ray.stages.canonicalize import _EMPTY_PARTIAL
+    from recon_ray.stages.link import merge_symbols
 
-    symbols_ref = ray.put({})
+    symbols_ref = ray.put(merge_symbols())  # the empty symbol table
     for empty in (pa.table({}), pd.DataFrame()):
         defs = ray.get(_defs_block.remote(empty))
         assert defs.num_rows == 0
         assert defs.column_names == ["repo", "module", "name"]
-        part = ray.get(_link_block.remote(empty, [symbols_ref]))
+        part = ray.get(_link_block.remote(empty, symbols_ref))
         assert part.num_rows == 0
         assert part.schema == _EMPTY_PARTIAL.schema
     d = write_corpus(32, str(tmp_path / "files"), seed=7, files_per_fragment=4)
@@ -377,3 +375,42 @@ def test_one_detect_call_per_fragment(tmp_path, monkeypatch):
     kg.run_kg(d)["canonical"].count()
     rows = [int(x) for x in log.read_text().split()]
     assert len(rows) == 8 and sum(rows) == 1000
+
+
+def test_link_block_resolution_rules():
+    """link_block on hand-made blocks: the same-module definition wins
+    over a smaller q from another module; otherwise the smallest in-repo
+    q; a DEF in another repo never matches; a block without DEF rows
+    links its calls from the doc's <module> sentinel."""
+    import pyarrow as pa
+
+    from recon_ray.ops.mentions_io import MENTION_TYPE
+    from recon_ray.stages.link import _dedup_symbol_table, link_block
+
+    symbols = _dedup_symbol_table(pa.table({
+        "repo": ["r0", "r0", "r0", "r0", "r1"],
+        "module": ["b", "z", "c", "d", "a"],
+        "name": ["f", "f", "g", "g", "h"],
+    }))
+
+    def linked(path, spans):
+        mentions = [{"text": t, "start": s, "end": s + len(t), "label": lbl,
+                     "source": ""} for t, s, lbl in spans]
+        docs = pa.table({
+            "repo": ["r0"], "path": [path], "commit": ["c"],
+            "content_sha256": ["s"], "lang": ["python"],
+            "mentions": pa.array([mentions], pa.list_(MENTION_TYPE)),
+        })
+        t = link_block(docs, symbols)
+        return sorted(zip(*(t.column(c).to_pylist()
+                            for c in ("subj", "pred", "obj"))))
+
+    assert linked("z.py", [("def main", 0, "DEF"), ("f", 10, "CALL"),
+                           ("g", 20, "CALL"), ("h", 30, "CALL")]) == sorted([
+        ("r0/z.py", "defines", "r0:z.main"),
+        ("r0:z.main", "calls", "r0:z.f"),
+        ("r0:z.main", "calls", "r0:c.g"),
+        ("r0:z.main", "calls_unresolved", "h"),
+    ])
+    assert linked("m/n.py", [("f", 3, "CALL")]) == [
+        ("r0:m.n.<module>", "calls", "r0:b.f")]

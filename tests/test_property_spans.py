@@ -277,7 +277,7 @@ def test_pack_greedy_properties(token_counts, budget):
 
 # ---------------------------------------------------------------------------
 # FULL link-path parity: detect → correction chain → DEF scan → symbol
-# dict → TripleLinker, all as pure local kernels, vs the sequential
+# table → link_block, all as pure local kernels, vs the sequential
 # reference extractor's extract_corpus — raw triple-for-triple, including
 # cross-doc resolution inside a repo (round-2 growth of the shared-spec
 # oracle mitigation: now the LINKER semantics are input-fuzzed too).
@@ -298,7 +298,7 @@ def test_pack_greedy_properties(token_counts, budget):
 def test_full_link_path_parity(doc_specs):
     from recon_ray.ops.spans import rename_labels
     from recon_ray.stages.detect import detect_batch, scan_symbols_batch
-    from recon_ray.stages.link import TripleLinker, _symbols_from_rows
+    from recon_ray.stages.link import _dedup_symbol_table, link_block
 
     rows = [
         {"repo": repo, "path": f"p{i}.x", "commit": "c", "lang": lang,
@@ -310,17 +310,12 @@ def test_full_link_path_parity(doc_specs):
          ("repo", "path", "commit", "lang", "content")}
     )
 
-    sym_t = scan_symbols_batch(table)
-    symbols = _symbols_from_rows(
-        sym_t.column("repo").to_pylist(),
-        sym_t.column("module").to_pylist(),
-        sym_t.column("name").to_pylist(),
-    )
+    symbols = _dedup_symbol_table(scan_symbols_batch(table))
     out = detect_batch(table)
     for kernel in (upcase_labels, rename_labels, strip_annotations,
                    filter_overlaps, fix_annotations):
         out = kernel(out)
-    triples = TripleLinker(symbols)(out.drop_columns(["content"]))
+    triples = link_block(out.drop_columns(["content"]), symbols)
 
     cols = ["subj", "pred", "obj", "subj_type", "obj_type", "repo",
             "path", "commit", "content_sha256", "extractor"]

@@ -721,6 +721,19 @@ def test_case_when_matches_duckdb(rows, sql, parts):
     _cmp_sorted(got, want, float_cols=("sv", "clamped"))
 
 
+@pytest.mark.parametrize("sql", [
+    "SELECT count(*) FILTER (WHERE s LIKE '%b') AS n, "
+    "count(*) FILTER (WHERE s NOT LIKE 'a_b') AS m FROM t",
+    "SELECT s, CASE WHEN s LIKE '%b' THEN 1 ELSE 0 END AS hit FROM t",
+])
+def test_like_spans_newlines_matches_duckdb(ray_session, sql):
+    """LIKE's % and _ match a newline in FILTER and CASE too (the pandas
+    predicate path), as they do in WHERE and in DuckDB."""
+    df = pd.DataFrame({"s": pd.Series(["a\nb", "ab", "c"], dtype=object)})
+    got, want = _exec_both(sql, df, 1)
+    _cmp_sorted(got, want)
+
+
 def test_case_parser_rejections():
     with pytest.raises(SqlError):  # needs alias
         parse_sql("SELECT CASE WHEN v > 1 THEN 'x' END FROM t")

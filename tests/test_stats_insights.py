@@ -47,6 +47,19 @@ def test_label_counts_empty():
     assert got["label"].dtype == object and got["count"].dtype == "int64"
 
 
+def test_entity_coverage_empty():
+    """No mentions: a 0-row (text, label, count) coverage, and a coverage
+    similarity of zeros instead of a KeyError on the column-less frame."""
+    from recon_ray.stages.explode import MENTIONS_FLAT_SCHEMA
+
+    empty = rd.from_arrow(MENTIONS_FLAT_SCHEMA.empty_table())
+    got = st.entity_coverage(empty)
+    assert got.schema().names == ["text", "label", "count"]
+    assert got.count() == 0
+    assert st.entity_coverage_similarity(empty, empty) == {
+        "entity": 0.0, "count": 0.0}
+
+
 def test_entity_coverage(gold_mentions_ds, gold_mentions_df):
     got = st.entity_coverage(gold_mentions_ds).to_pandas()
     df = gold_mentions_df.copy()

@@ -25,6 +25,7 @@ and feeds the partials to ``merge_partials``, the tail ``run_kg`` shares.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from typing import Optional
@@ -38,22 +39,13 @@ import ray
 from recon_ray import spec
 from recon_ray.functions.stats import _partial_coverage, _partial_label_counts
 from recon_ray.hashing import combine_u64
-from recon_ray.pipelines.kg import _as_arrow, read_files, run_kg, scan_symbols
+from recon_ray.pipelines.kg import (_as_arrow, list_fragments, read_files,
+                                    run_kg, scan_symbols)
 from recon_ray.stages.canonicalize import merge_partials, partial_canonicalize
 from recon_ray.stages.link import build_symbol_broadcast
 from recon_ray.state import lineage as lin
 
 RUN_CONFIG_VERSION = {"extractor": spec.EXTRACTOR_TAG, "chain": "v1"}
-
-
-def _list_fragments(input_path: str) -> list[str]:
-    if os.path.isfile(input_path):
-        return [input_path]
-    return sorted(
-        os.path.join(input_path, f)
-        for f in os.listdir(input_path)
-        if f.endswith(".parquet")
-    )
 
 
 def _shards(fragments: list[str], fragments_per_shard: int) -> list[list[str]]:
@@ -70,17 +62,31 @@ _NO_COVERAGE = _partial_coverage(_NO_SPANS, case_sensitive=False)
 _NO_LABELS = _partial_label_counts(_NO_SPANS)
 
 
+def _joined(strings: pa.Array, sep: str) -> pa.StringScalar:
+    """A whole string array joined into one string, in one kernel call."""
+    return pc.binary_join(pa.ListArray.from_arrays(
+        pa.array([0, len(strings)], pa.int32()), strings), sep)[0]
+
+
 def _sha_rollup(sha: pa.ChunkedArray) -> int:
     """``combine_u64(int(h[:16], 16) for h in sha)`` without per-row
     Python: the 16-hex-char heads, joined into one string, decode to
     big-endian u64s whose numpy sum wraps mod 2^64."""
     heads = pc.utf8_slice_codeunits(sha, 0, 16).combine_chunks()
-    joined = pc.binary_join(
-        pa.ListArray.from_arrays(pa.array([0, len(heads)], pa.int32()), heads),
-        "")[0].as_py()
+    joined = _joined(heads, "").as_py()
     if len(joined) != 16 * len(heads):
         raise ValueError("content_sha256 holds a value shorter than 16 hex chars")
     return int(np.frombuffer(bytes.fromhex(joined), ">u8").sum(dtype=np.uint64))
+
+
+def symbols_digest(symbols: pa.Table) -> str:
+    """SHA-256 of a symbol table from ``build_symbol_broadcast`` (deduped
+    and sorted, so equal DEF sets give equal digests): its rows as
+    ``repo NUL name NUL q`` lines. Repos, names and ``q`` never hold a
+    NUL or a newline."""
+    rows = pc.binary_join_element_wise(
+        *[symbols.column(c).combine_chunks() for c in ("repo", "name", "q")], "\x00")
+    return hashlib.sha256(_joined(rows, "\n").as_buffer()).hexdigest()
 
 
 def _doc_block_stats(block) -> tuple[tuple[int, int, int], pa.Table, pa.Table]:
@@ -139,13 +145,12 @@ def run_kg_checkpointed(
     fragments_per_shard: int = 8,
     write_insights: bool = True,
     max_shards: Optional[int] = None,
-    batch_size: int = 128,
 ) -> dict:
     """Returns {"shards_run", "shards_skipped", "manifests", "final_dir"}.
 
     ``max_shards`` stops early after N shards (used by the resume tests to
     simulate a mid-run kill)."""
-    fragments = _list_fragments(input_path)
+    fragments = list_fragments(input_path)
     args_hash = lin.args_hash_for(
         {**RUN_CONFIG_VERSION, "fragments_per_shard": fragments_per_shard}
     )
@@ -171,7 +176,7 @@ def run_kg_checkpointed(
                 elapsed_sec=time.time() - t0,
             ),
         )
-    symbols_ref, _ = build_symbol_broadcast(symbols_table)
+    symbols_ref, symbols = build_symbol_broadcast(symbols_table)
 
     # Shard validity must depend on the GLOBAL symbol dictionary, not just
     # the shard's own fragments: linking resolves against symbols from the
@@ -182,12 +187,8 @@ def run_kg_checkpointed(
     # when the dictionary changes, while an unchanged dictionary keeps
     # the skip behavior byte-for-byte. Finer-grain invalidation (only
     # shards whose mentions match NEW symbols) is the documented upgrade.
-    sym_df = symbols_table.to_pandas()
-    sym_canon = sym_df.sort_values(list(sym_df.columns)).to_csv(index=False)
     shard_args_hash = lin.args_hash_for(
-        {"args": args_hash, "symbols_sha": lin.args_hash_for(
-            {"csv": sym_canon})}
-    )
+        {"args": args_hash, "symbols_sha": symbols_digest(symbols)})
 
     # --- stage 1: per-shard extract → triples ------------------------------
     shards = _shards(fragments, fragments_per_shard)
@@ -202,7 +203,7 @@ def run_kg_checkpointed(
             manifests.append(lin.load_manifest(shard_dir))
             continue
         t0 = time.time()
-        res = run_kg(shard_frags, batch_size=batch_size, symbols_ref=symbols_ref)
+        res = run_kg(shard_frags, symbols_ref=symbols_ref)
         # the stats tasks run while the canonical write does
         stats = [_doc_block_stats_task.remote(ref) for ref in res["doc_refs"]]
 

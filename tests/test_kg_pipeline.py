@@ -220,12 +220,16 @@ def test_key_boundaries_match_python_sort():
 
 def test_empty_corpus_all_modes(tmp_path):
     """0 rows flow through the pipeline without error (schema-less empty
-    blocks must not break the reduce kernels)."""
+    blocks must not break the reduce kernels): a directory without any
+    Parquet file and a 0-row fragment both give an empty canonical table
+    with the full schema and a docs Dataset without rows."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     from recon_ray.pipelines.kg import run_kg
 
+    no_files = tmp_path / "no_parquet_file"
+    no_files.mkdir()
     d = tmp_path / "empty_corpus"
     d.mkdir()
     t = pa.table(
@@ -233,10 +237,13 @@ def test_empty_corpus_all_modes(tmp_path):
          for c in ["repo", "path", "commit", "lang", "content"]}
     )
     pq.write_table(t, str(d / "part-0.parquet"))
-    canonical = run_kg(str(d))["canonical"]
-    assert canonical.count() == 0
-    # the exchange's merge of the 0-row partial gives the full schema
-    assert canonical.schema().names == COLS
+    for path in (no_files, d):
+        res = run_kg(str(path))
+        assert res["canonical"].count() == 0
+        # the exchange's merge of the 0-row partial gives the full schema
+        assert res["canonical"].schema().names == COLS
+        assert res["docs"].count() == 0
+        assert res["mentions"].count() == 0
     assert run_kg(str(d), symbol_source="mentions")["canonical"].count() == 0
 
 
@@ -256,8 +263,8 @@ def test_small_batches_with_empty_read_blocks(tmp_path):
     """The per-block DEF and link tasks take empty blocks, column-less
     Arrow tables and 0-row pandas frames alike (Ray can hand either to
     a task), and return their empty output with the full schema. And 32
-    files in 8 fragments at batch_size=8 must still equal the reference
-    extractor's output."""
+    files in 8 fragments, each cut into byte-budgeted detect slices, must
+    still equal the reference extractor's output."""
     import pyarrow as pa
     import ray
 
@@ -276,7 +283,7 @@ def test_small_batches_with_empty_read_blocks(tmp_path):
         assert part.num_rows == 0
         assert part.schema == _EMPTY_PARTIAL.schema
     d = write_corpus(32, str(tmp_path / "files"), seed=7, files_per_fragment=4)
-    got = run_kg(d, batch_size=8)["canonical"].to_pandas()
+    got = run_kg(d)["canonical"].to_pandas()
     gold = pd.DataFrame(
         rx.extract_corpus(generate_corpus(32, seed=7).to_pylist())["canonical"]
     )
@@ -318,10 +325,11 @@ def test_linker_sees_each_doc_once(unit_corpus_dir, tmp_path, monkeypatch):
 
 
 def test_ref_bundle_api_pinned():
-    """run_kg and the streaming feed take block refs off the executor
-    through Ray Data's DeveloperAPI (Dataset.iter_internal_ref_bundles,
-    RefBundle.block_refs). A Ray upgrade that drops either must fail
-    here, not silently switch every run to the slower fallback."""
+    """The streaming feed (``stages/streaming.py:_feed_refs``) takes block
+    refs off the executor through Ray Data's DeveloperAPI
+    (Dataset.iter_internal_ref_bundles, RefBundle.block_refs). A Ray
+    upgrade that drops either must fail here, not silently switch every
+    streaming operator to the slower fallback."""
     import ray
     import ray.data as rd
 
@@ -333,9 +341,12 @@ def test_ref_bundle_api_pinned():
     assert sum(len(b) for b in ray.get(refs)) == 10
 
 
-def test_ref_bundle_api_fallback(kg_result, unit_corpus_dir, monkeypatch):
+def test_ref_bundle_api_fallback(monkeypatch):
     """Without the DeveloperAPI, iter_block_refs falls back to
-    materialize().to_arrow_refs() and run_kg emits the same triples."""
+    materialize().to_arrow_refs() and the streaming feed hands on the
+    same rows."""
+    import pyarrow as pa
+    import ray
     import ray.data as rd
     from ray.data._internal.execution.interfaces import RefBundle
 
@@ -346,35 +357,93 @@ def test_ref_bundle_api_fallback(kg_result, unit_corpus_dir, monkeypatch):
         with monkeypatch.context() as m:
             m.delattr(cls, attr)
             assert not streaming.ref_bundle_api_available()
+
+    def fed() -> pa.Table:
+        refs = streaming._feed_refs(rd.range(100, override_num_blocks=4),
+                                    "id", ordered=False)
+        return pa.concat_tables(ray.get(list(refs))).sort_by("id")
+
+    want = fed()
     # Ray Data itself calls both attributes, so the run hides them from
     # the probe only
     monkeypatch.setattr(streaming, "ref_bundle_api_available", lambda: False)
-    got = run_kg(unit_corpus_dir)["canonical"].to_pandas()
-    pd.testing.assert_frame_equal(got, kg_result[1])
+    assert fed().equals(want)
+    assert want.column("id").to_pylist() == list(range(100))
 
 
-def test_one_detect_call_per_fragment(tmp_path, monkeypatch):
-    """run_kg reads one block per small Parquet fragment, so 8 fragments
-    of 125 files at the default batch_size make exactly 8 detector calls
-    over the 1000 files (the batcher cuts two joined 125-row blocks at
-    128 rows). A read split into 16-row blocks made 15 calls."""
+def test_run_kg_starts_no_ray_data_execution(unit_corpus_dir, monkeypatch):
+    """run_kg reads, detects, links and merges in plain tasks: no Ray
+    Data execution starts before it returns (only the exploded mentions
+    stay a lazy Dataset, which the probe sees when it runs)."""
+    import ray
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    res = run_kg(unit_corpus_dir)
+    assert calls == []
+    assert sum(t.num_rows for t in ray.get(res["doc_refs"])) == 120
+    res["mentions"].count()
+    assert calls
+
+
+def test_detect_slices_by_content_bytes(tmp_path, monkeypatch):
+    """run_kg cuts each fragment's rows into detect slices by content
+    bytes (the corpus's content ÷ (2 × CPUs), at most 32 MiB). Over 1000
+    files in 8 fragments of 125, every row is detected exactly once and
+    a slice over the budget is a single row; 2 fragments at 4 CPUs give
+    at least 4 slices (one detect call per fragment kept 2 of the 4 CPUs
+    busy)."""
+    import numpy as np
+    import pyarrow.compute as pc
+    import ray
+
     from recon_ray.corpusgen import write_corpus
     from recon_ray.pipelines import kg
 
+    # the slicing rule itself, budget 10: a slice closes before the row
+    # that would push it past 10 bytes; the 20-byte row stands alone
+    assert kg.row_slices(np.array([4, 4, 3, 20, 1, 1]), 10) == [
+        (0, 2), (2, 1), (3, 1), (4, 2)]
+    assert kg.row_slices(np.array([], np.int32), 10) == [(0, 0)]
+
     d = write_corpus(1000, str(tmp_path / "files"), seed=3,
                      files_per_fragment=125)
-    log = tmp_path / "detect_rows"
-    real, path = kg.detect_batch, str(log)
+    frags = kg.list_fragments(d)
+    assert len(frags) == 8 and kg.cluster_cpus() == 4
+    log = tmp_path / "slices"
+    real, path = kg._detect_kernel, str(log)
 
-    def counted(batch):
+    def counted(table, offset, length, tracker=None):
+        out = real(table, offset, length, tracker)
+        content = table.slice(offset, length).column("content")
         with open(path, "a") as f:
-            f.write(f"{batch.num_rows}\n")
-        return real(batch)
+            f.write(" ".join(map(str, [
+                length, pc.sum(pc.binary_length(content)).as_py() or 0,
+                *out.column("doc_id").to_pylist()])) + "\n")
+        return out
 
-    monkeypatch.setattr(kg, "detect_batch", counted)
-    kg.run_kg(d)["canonical"].count()
-    rows = [int(x) for x in log.read_text().split()]
-    assert len(rows) == 8 and sum(rows) == 1000
+    def logged_slices(inp) -> list[list[int]]:
+        ray.get(kg.run_kg(inp)["doc_refs"])
+        rows = [[int(x) for x in line.split()]
+                for line in log.read_text().splitlines()]
+        log.unlink()
+        return rows
+
+    monkeypatch.setattr(kg, "_detect_slice", ray.remote(counted))
+    budget = kg.slice_budget(frags)
+    slices = logged_slices(d)
+    doc_ids = [i for s in slices for i in s[2:]]
+    assert sum(s[0] for s in slices) == len(doc_ids) == len(set(doc_ids)) == 1000
+    assert all(s[1] <= budget or s[0] == 1 for s in slices)
+    assert len(logged_slices(frags[:2])) >= 4
 
 
 def test_link_block_resolution_rules():

@@ -316,3 +316,26 @@ def test_empty_fragment_shard(tmp_path_factory):
     assert list(labels.columns) == ["label", "count"] and len(labels) == 0
     final = pd.read_parquet(os.path.join(out, "triples", "data"))
     assert len(final) == r["manifests"][0].n_canonical > 0
+
+
+def test_symbols_digest_ignores_order_and_duplicates():
+    """The shard args hash folds in ``symbols_digest`` of the deduped,
+    sorted symbol table: reordered or repeated DEF rows leave it as it
+    is, one new DEF changes it."""
+    import pyarrow as pa
+
+    from recon_ray.stages.link import build_symbol_broadcast
+    from recon_ray.state.runner import symbols_digest
+
+    def digest(rows: pa.Table) -> str:
+        return symbols_digest(build_symbol_broadcast(rows)[1])
+
+    rows = pa.table({"repo": ["r1", "r1", "r2", "r2"],
+                     "module": ["a", "b", "a", "a.b"],
+                     "name": ["f", "g", "f", "h"]})
+    base = digest(rows)
+    assert digest(rows.take([3, 1, 0, 2])) == base
+    assert digest(pa.concat_tables([rows.slice(2), rows, rows.slice(0, 1)])) == base
+    grown = pa.concat_tables(
+        [rows, pa.table({"repo": ["r2"], "module": ["b"], "name": ["h"]})])
+    assert digest(grown) != base

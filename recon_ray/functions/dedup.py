@@ -21,6 +21,7 @@ map_batches + groupby.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -443,56 +444,51 @@ def _connected_components_shuffle(edges_ds, max_iter: int) -> pd.DataFrame:
     return out[["doc_id", "cluster"]]
 
 
+@ray.remote
+def _min_neighbor_label(idx_pair, label_ref):
+    """One edge block's min-label partial: each node's label lowered to
+    its neighbors' min label over this block (merge = elementwise min)."""
+    src, dst, _w = idx_pair
+    out = label_ref.copy()
+    np.minimum.at(out, src, label_ref[dst])
+    np.minimum.at(out, dst, label_ref[src])
+    return out
+
+
 def connected_components(edges_ds, max_iter: int = 64,
                          driver_limit: int = 2_000_000) -> pd.DataFrame:
     """Connected components of the (a, b) edge Dataset by iterative
-    min-label propagation, shaped as the combiner pattern: each iteration
-    is ONE distributed pass over the edges (per-batch partial min-label per
-    node) plus a small driver merge of the partials. The label table holds
-    only the DUP-GRAPH nodes — documents that verified as near-duplicates —
-    a small fraction of the corpus by construction; past ``driver_limit``
-    EDGES the loop switches to :func:`_connected_components_shuffle`
-    (labels as a Dataset, shuffle joins + Ray groupby-min — same fixpoint,
-    nothing graph-sized on the driver; equality pinned in
-    tests/test_line_dedup.py's mega-cluster fixture).
+    min-label propagation. Up to ``driver_limit`` EDGES the edges are
+    indexed once (functions.graph.edge_index) and each iteration is one
+    task per edge block against the broadcast label vector plus an
+    elementwise min on the driver. Labels are node indices (index order
+    is value order, so the min index is the min id), and the label
+    vector holds only the DUP-GRAPH nodes — documents that verified as
+    near-duplicates — a small fraction of the corpus by construction.
+    Past ``driver_limit`` edges the loop switches to
+    :func:`_connected_components_shuffle` (labels as a Dataset, shuffle
+    joins + Ray groupby-min — same fixpoint, nothing graph-sized on the
+    driver; equality pinned in tests/test_functions.py's mega-cluster
+    fixture).
 
-    Converges in O(graph diameter) passes; near-dup clusters are shallow."""
+    Converges in O(graph diameter) rounds; near-dup clusters are shallow."""
+    from recon_ray.functions.graph import edge_index
+
+    edges_ds = edges_ds.materialize()
     if edges_ds.count() > driver_limit:
         return _connected_components_shuffle(edges_ds, max_iter)
-    ends = edges_ds.map_batches(
-        lambda df: pd.DataFrame(
-            {"node": pd.concat([df["a"], df["b"]], ignore_index=True)}
-        ),
-        batch_format="pandas",
-    ).to_pandas()
-    if len(ends) == 0:
+    nodes, idx_refs = edge_index(edges_ds, "a", "b")
+    if not len(nodes):
         return pd.DataFrame(columns=["doc_id", "cluster"])
-    nodes = np.unique(ends["node"].to_numpy())
-    label = pd.Series(nodes, index=nodes)
-
+    label = np.arange(len(nodes))
     for _ in range(max_iter):
-        ref = ray.put(label.to_dict())
-
-        def msgs(batch: pd.DataFrame) -> pd.DataFrame:
-            lab = _get(ref)
-            la = batch["a"].map(lab)
-            lb = batch["b"].map(lab)
-            m = pd.DataFrame(
-                {
-                    "node": pd.concat([batch["a"], batch["b"]],
-                                      ignore_index=True),
-                    "lbl": pd.concat([lb, la], ignore_index=True),
-                }
-            )
-            return m.groupby("node", as_index=False)["lbl"].min()
-
-        parts = edges_ds.map_batches(msgs, batch_format="pandas").to_pandas()
-        merged = parts.groupby("node")["lbl"].min()
-        new = pd.concat([label, merged]).groupby(level=0).min()
-        if new.equals(label):
+        label_ref = ray.put(label)
+        new = functools.reduce(np.minimum, ray.get(
+            [_min_neighbor_label.remote(i, label_ref) for i in idx_refs]))
+        if np.array_equal(new, label):
             break
         label = new
-    return pd.DataFrame({"doc_id": label.index, "cluster": label.values})
+    return pd.DataFrame({"doc_id": nodes, "cluster": nodes[label]})
 
 
 def minhash_lsh_dedup(

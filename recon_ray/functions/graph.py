@@ -8,6 +8,15 @@ connected components over the (subj, obj) entity graph. The reference
 stats utilities (recon/stats.py:24-63 get_ner_stats — per-key counts
 over an exploded column), re-expressed as combiner-first Ray aggregates.
 
+Every iterative loop (PageRank, HITS, BFS, Bellman-Ford, components,
+k-core, topological levels, label propagation) runs over ONE edge index
+(:func:`edge_index`): the sorted node array plus int64 ``(src, dst, w)``
+node-index arrays per block, built once and kept in the object store.
+Each round is one task per edge block against a broadcast node-sized
+vector, merged order-free on the driver (sum / min / OR); no round
+starts a Ray Data execution. The undirected operators index the
+canonical ``u < v`` simple edges of :func:`_undirected_edges`.
+
 Determinism contract (same as functions/similarity.kmeans): every
 iterative quantity is INTEGER fixed-point, so results are bit-identical
 under any Ray block order/batching — and exactly reproducible by a SQL
@@ -16,14 +25,17 @@ oracle doing the same integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 from ray.data.aggregate import Sum
 
-__all__ = ["degree_table", "pagerank", "pagerank_oracle_sql",
+__all__ = ["degree_table", "edge_index", "pagerank", "pagerank_oracle_sql",
            "label_propagation", "lpa_oracle_sql",
            "graph_components", "triangle_stats", "bfs_levels",
            "link_prediction", "link_prediction_oracle_sql",
@@ -72,6 +84,84 @@ def degree_table(triples_ds, subj_col: str = "subj", obj_col: str = "obj") -> pd
 
 
 # --------------------------------------------------------------------------
+# The edge index behind every iterative loop
+# --------------------------------------------------------------------------
+
+
+def edge_index(triples_ds, subj_col: str = "subj", obj_col: str = "obj",
+               weight_col: Optional[str] = None) -> tuple[np.ndarray, list]:
+    """Index the edge rows ONCE for the task rounds of an iterative graph
+    loop → ``(nodes, idx_refs)``: ``nodes`` is the sorted array of
+    distinct endpoints (so index order is name order), ``idx_refs`` one
+    object-store ref per non-empty block, each holding int64 ``(src,
+    dst, w)`` node-index arrays (``w`` all ones when unweighted). Every
+    later round is one task per ref plus a node-sized driver merge; no
+    round starts a Ray Data execution."""
+    sel = [subj_col, obj_col] + ([weight_col] if weight_col else [])
+    refs = triples_ds.select_columns(sel).materialize().to_arrow_refs()
+    parts = ray.get([_block_nodes.remote(b, subj_col, obj_col) for b in refs])
+    refs = [b for b, p in zip(refs, parts) if len(p)]
+    if not refs:
+        return np.array([], dtype=object), []
+    nodes = np.unique(np.concatenate([p for p in parts if len(p)]))
+    nodes_ref = ray.put(pa.array(nodes))
+    return nodes, [_index_block.remote(b, nodes_ref, subj_col, obj_col,
+                                       weight_col) for b in refs]
+
+
+@ray.remote
+def _block_nodes(block: pa.Table, subj_col: str, obj_col: str) -> np.ndarray:
+    """One edge block's distinct endpoints."""
+    if not len(block):
+        # Ray's empty blocks can drop their columns, and one that skipped
+        # an Arrow UDF stays a pandas frame that to_arrow_refs passes on
+        return np.array([], dtype=object)
+    ends = pa.chunked_array(block.column(subj_col).chunks
+                            + block.column(obj_col).chunks,
+                            block.schema.field(subj_col).type)
+    return pc.unique(ends).to_numpy(zero_copy_only=False)
+
+
+@ray.remote
+def _index_block(block: pa.Table, nodes: pa.Array, subj_col: str,
+                 obj_col: str, weight_col: Optional[str]):
+    """One edge block → its int64 ``(src, dst, w)`` node-index arrays."""
+    src, dst = (pc.index_in(block.column(c), value_set=nodes).to_numpy()
+                .astype(np.int64) for c in (subj_col, obj_col))
+    w = (block.column(weight_col).to_numpy().astype(np.int64)
+         if weight_col is not None else np.ones(len(src), np.int64))
+    return src, dst, w
+
+
+def _round(task, idx_refs: list, *args) -> list:
+    """One round of an iterative loop: ``task`` over every edge-index
+    block, its partials gathered for the driver merge."""
+    return ray.get([task.remote(i, *args) for i in idx_refs])
+
+
+def _undirected_edges(triples_ds, subj_col: str, obj_col: str):
+    """The canonical undirected simple graph as a materialized ``(u, v)``
+    Dataset: ``u < v`` (self-loops dropped), each pair once — a per-batch
+    Arrow normalize, then the bucketed global ``distinct``."""
+    from recon_ray.functions.relational import distinct
+
+    def canon(t: pa.Table) -> pa.Table:
+        s, o = t.column(subj_col), t.column(obj_col)
+        lt = pc.less(s, o)
+        out = pa.table({"u": pc.if_else(lt, s, o), "v": pc.if_else(lt, o, s)})
+        return out.filter(pc.not_equal(s, o))
+
+    return distinct(
+        triples_ds.map_batches(
+            # explicit batch_size COALESCES upstream micro-blocks (a
+            # filtered pipeline output arrives as many tiny blocks;
+            # measured 57.5 s -> 3.4 s on the sf0.1 call graph census)
+            canon, batch_format="pyarrow", batch_size=131072,
+        ), ["u", "v"]
+    ).materialize()
+
+
+# --------------------------------------------------------------------------
 # PageRank — integer fixed-point, exactly SQL-reproducible
 # --------------------------------------------------------------------------
 #
@@ -89,35 +179,6 @@ def degree_table(triples_ds, subj_col: str = "subj", obj_col: str = "obj") -> pd
 # N·2^36; ·dp(=85) stays under 2^63 for N up to ~1.5e9 nodes.
 
 _SCALE = 2 ** 36
-
-
-@ray.remote
-def _index_edges(block, nodes_ref, subj_col, obj_col, weight_col=None):
-    """Map one triple block's (subj, obj) to node indices via searchsorted
-    over the broadcast sorted node array (plus int64 edge weights — all
-    ones when unweighted). Stays in the object store."""
-    t = block.to_pandas()
-    if len(t) == 0 or subj_col not in t.columns:  # Ray's empty blocks drop columns
-        z = np.zeros(0, np.int64)
-        return z, z, z
-    nodes = nodes_ref
-    src = np.searchsorted(nodes, t[subj_col].to_numpy())
-    dst = np.searchsorted(nodes, t[obj_col].to_numpy())
-    w = (
-        t[weight_col].to_numpy().astype(np.int64)
-        if weight_col is not None
-        else np.ones(len(t), np.int64)
-    )
-    return src.astype(np.int64), dst.astype(np.int64), w
-
-
-@ray.remote
-def _distinct_nodes(block, subj_col, obj_col):
-    t = block.to_pandas()
-    if len(t) == 0 or subj_col not in t.columns:  # empty blocks drop columns
-        return np.array([], dtype=object)
-    return np.unique(np.concatenate([t[subj_col].to_numpy(),
-                                     t[obj_col].to_numpy()]))
 
 
 @ray.remote
@@ -172,23 +233,11 @@ def pagerank(
     Returns (entity, rank_q) with rank_q the int64 fixed-point rank —
     bit-identical to the unrolled SQL from :func:`pagerank_oracle_sql`.
     """
-    sel = [subj_col, obj_col] + ([weight_col] if weight_col else [])
-    refs = triples_ds.select_columns(sel).materialize().to_arrow_refs()
-    parts = ray.get([_distinct_nodes.remote(b, subj_col, obj_col) for b in refs])
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return pd.DataFrame({"entity": pd.Series([], dtype=object),
-                             "rank_q": pd.Series([], dtype="int64")})
-    nodes = np.unique(np.concatenate(parts))
+    nodes, idx_refs = edge_index(triples_ds, subj_col, obj_col, weight_col)
     n = len(nodes)
-    nodes_ref = ray.put(nodes)
-    idx_refs = [
-        _index_edges.remote(b, nodes_ref, subj_col, obj_col, weight_col)
-        for b in refs
-    ]
-    outdeg = np.zeros(n, np.int64)
-    for p in ray.get([_outdeg_partial.remote(i, n) for i in idx_refs]):
-        outdeg += p
+    if not n:
+        return pd.DataFrame({"entity": nodes, "rank_q": np.zeros(0, np.int64)})
+    outdeg = sum(_round(_outdeg_partial, idx_refs, n))
     dangling = outdeg == 0
     dp = int(damping_pct)
     if seeds is None:
@@ -220,10 +269,7 @@ def pagerank(
                 + dang // n_seeds
             )
             nxt = np.where(seed_mask, base, 0).astype(np.int64)
-        for p in ray.get([_contrib_partial.remote(i, share_ref, n)
-                          for i in idx_refs]):
-            nxt += p
-        r = nxt
+        r = nxt + sum(_round(_contrib_partial, idx_refs, share_ref, n))
     return pd.DataFrame({"entity": nodes, "rank_q": r})
 
 
@@ -307,21 +353,29 @@ def pagerank_oracle_sql(
 
 def graph_components(triples_ds, subj_col: str = "subj", obj_col: str = "obj") -> pd.DataFrame:
     """Connected components of the UNDIRECTED entity graph, reusing the
-    iterative min-label propagation from dedup.connected_components
-    (one distributed edge pass + small driver merge per round; converges
-    in O(diameter) — KG graphs are hub-shaped, so a handful). Labels are
-    lexicographic-min entity names: deterministic, order-free.
+    min-label rounds of dedup.connected_components (one task per edge
+    block of the once-built index + a node-sized driver min per round;
+    converges in O(diameter) — KG graphs are hub-shaped, so a handful).
+    Labels are lexicographic-min entity names: deterministic, order-free.
 
     Returns (entity, component)."""
     from recon_ray.functions.dedup import connected_components
 
-    edges = triples_ds.select_columns([subj_col, obj_col]).map_batches(
-        lambda df: pd.DataFrame({"a": df[subj_col], "b": df[obj_col]}),
-        batch_format="pandas",
-    )
+    edges = triples_ds.map_batches(
+        lambda t: pa.table({"a": t.column(subj_col), "b": t.column(obj_col)}),
+        batch_format="pyarrow", zero_copy_batch=True)
     out = connected_components(edges)
     out = out.rename(columns={"doc_id": "entity", "cluster": "component"})
     return out.sort_values("entity").reset_index(drop=True)
+
+
+@ray.remote
+def _label_votes(idx_pair, label_ref, n):
+    """One block's LPA votes: distinct ``node·n + label[neighbor]`` keys,
+    both edge directions, with their counts (merge = sum per key)."""
+    src, dst, _w = idx_pair
+    keys = np.concatenate([src * n + label_ref[dst], dst * n + label_ref[src]])
+    return np.unique(keys, return_counts=True)
 
 
 def label_propagation(triples_ds, subj_col: str = "subj",
@@ -337,67 +391,31 @@ def label_propagation(triples_ds, subj_col: str = "subj",
     visit-order dependence is exactly what's being avoided), and the
     same unrolled rule is SQL-replayable (:func:`lpa_oracle_sql`).
 
-    Scale shape: per round, ONE distributed pass over the edge Dataset
-    emits per-batch (node, neighbor-label) partial counts against the
-    broadcast label dict; the node-sized partials merge on the driver
-    (same seam as connected_components — swap broadcast for a shuffle
-    join when the node table outgrows it). Returns (entity, community)."""
-
-    def canon(b: pd.DataFrame) -> pd.DataFrame:
-        s, o = b[subj_col], b[obj_col]
-        lo = s.where(s <= o, o)
-        hi = o.where(s <= o, s)
-        out = pd.DataFrame({"u": lo, "v": hi})
-        return out[lo != hi].drop_duplicates()
-
-    from recon_ray.functions.relational import distinct
-
-    edges = distinct(
-        triples_ds.map_batches(
-            # explicit batch_size COALESCES upstream micro-blocks (a
-            # filtered pipeline output arrives as many tiny blocks;
-            # measured 57.5 s -> 3.4 s on the sf0.1 call graph census)
-            canon, batch_format="pandas", batch_size=131072,
-        ), ["u", "v"]
-    ).materialize()
-
-    ends = edges.map_batches(
-        lambda b: pd.DataFrame(
-            {"node": pd.concat([b["u"], b["v"]]).drop_duplicates()}),
-        batch_format="pandas",
-    ).to_pandas()
-    nodes = np.unique(ends["node"].to_numpy()) if len(ends) else np.array([])
-    if len(nodes) == 0:
-        return pd.DataFrame({"entity": pd.Series([], dtype=object),
-                             "community": pd.Series([], dtype=object)})
-    label = pd.Series(nodes, index=nodes)
-
-    for _ in range(n_rounds):
-        ref = ray.put(label.to_dict())
-
-        def votes(b: pd.DataFrame) -> pd.DataFrame:
-            lab = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            m = pd.DataFrame({
-                "node": pd.concat([b["u"], b["v"]], ignore_index=True),
-                "lbl": pd.concat([b["v"].map(lab), b["u"].map(lab)],
-                                 ignore_index=True),
-            })
-            return m.groupby(["node", "lbl"], as_index=False).size()
-
-        parts = edges.map_batches(votes, batch_format="pandas").to_pandas()
-        cnt = parts.groupby(["node", "lbl"], as_index=False)["size"].sum()
-        cnt = cnt.sort_values(["node", "size", "lbl"],
-                              ascending=[True, False, True],
-                              kind="mergesort")
-        best = cnt.drop_duplicates("node").set_index("node")["lbl"]
-        new = best.reindex(label.index)
-        if new.equals(label):  # exact fixed point: further rounds no-op
+    Distributed shape: the pagerank pattern over the edge index of the
+    undirected edges. Labels are node indices, and index order is name
+    order, so the min index is the min name. Per round the label vector
+    is broadcast once and each edge block task emits its distinct
+    (node, neighbor label) votes with counts; the driver sums them and
+    keeps each node's max count, ties to the smallest label. Returns
+    (entity, community)."""
+    nodes, idx_refs = edge_index(
+        _undirected_edges(triples_ds, subj_col, obj_col), "u", "v")
+    n = len(nodes)
+    label = np.arange(n)
+    for _ in range(n_rounds if n else 0):
+        parts = _round(_label_votes, idx_refs, ray.put(label), n)
+        keys, inv = np.unique(np.concatenate([k for k, _ in parts]),
+                              return_inverse=True)
+        votes = np.bincount(inv, weights=np.concatenate([c for _, c in parts]))
+        node, lbl = np.divmod(keys, n)
+        best = np.lexsort((lbl, -votes, node))
+        best = best[np.r_[True, node[best][1:] != node[best][:-1]]]
+        new = label.copy()
+        new[node[best]] = lbl[best]
+        if np.array_equal(new, label):  # exact fixed point: further rounds no-op
             break
         label = new
-
-    return pd.DataFrame(
-        {"entity": label.index.to_numpy(), "community": label.to_numpy()}
-    ).sort_values("entity").reset_index(drop=True)
+    return pd.DataFrame({"entity": nodes, "community": nodes[label]})
 
 
 def lpa_oracle_sql(edges_sql: str, n_rounds: int = 4) -> str:
@@ -463,23 +481,7 @@ def triangle_stats(triples_ds, subj_col: str = "subj",
     Never a driver loop; the only driver-sized object is the one-row
     result. Skew note: a hub node h makes step 2 emit C(d_h, 2) wedges —
     at web scale cap or sample hub wedges; here the census is exact."""
-    from recon_ray.functions.relational import distinct, shuffle_join
-
-    def canon(b: pd.DataFrame) -> pd.DataFrame:
-        s, o = b[subj_col], b[obj_col]
-        lo = s.where(s <= o, o)
-        hi = o.where(s <= o, s)
-        out = pd.DataFrame({"u": lo, "v": hi})
-        return out[lo != hi].drop_duplicates()
-
-    edges = distinct(
-        triples_ds.map_batches(
-            # explicit batch_size COALESCES upstream micro-blocks (a
-            # filtered pipeline output arrives as many tiny blocks;
-            # measured 57.5 s -> 3.4 s on the sf0.1 call graph census)
-            canon, batch_format="pandas", batch_size=131072,
-        ), ["u", "v"]
-    ).materialize()
+    edges = _undirected_edges(triples_ds, subj_col, obj_col)
     n_edges = edges.count()
 
     # total degree per node -> n_nodes, n_wedges (combiner pass)
@@ -585,6 +587,30 @@ def _frontier_step(idx_pair, frontier_ref, n):
     return out
 
 
+def _reach(idx_refs: list, frontier: np.ndarray) -> np.ndarray:
+    """One round: the nodes with an in-edge from a ``frontier`` node."""
+    return functools.reduce(np.logical_or, _round(
+        _frontier_step, idx_refs, ray.put(frontier), len(frontier)),
+        np.zeros(len(frontier), dtype=bool))
+
+
+@ray.remote
+def _min_src(idx_pair) -> int:
+    """One (non-empty) edge block's smallest source index."""
+    return int(idx_pair[0].min())
+
+
+def _root_index(nodes, idx_refs: list, root: Optional[str]) -> int:
+    """``root``'s node index; ``None`` picks the lexicographic-min
+    subject (the smallest source index: index order is name order)."""
+    if root is None:
+        return min(_round(_min_src, idx_refs))
+    ri = int(np.searchsorted(nodes, root))
+    if ri >= len(nodes) or nodes[ri] != root:
+        raise ValueError(f"root {root!r} not in graph")
+    return ri
+
+
 def bfs_levels(
     triples_ds,
     root: Optional[str] = None,
@@ -606,48 +632,13 @@ def bfs_levels(
     is O(N_nodes) bits, never the edges. Levels are exact integers, so
     the recursive-CTE SQL oracle (min level per reached node, depth
     capped) reproduces them bit-for-bit."""
-    refs = (triples_ds.select_columns([subj_col, obj_col])
-            .materialize().to_arrow_refs())
-    parts = ray.get(
-        [_distinct_nodes.remote(b, subj_col, obj_col) for b in refs]
-    )
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return pd.DataFrame({"entity": pd.Series([], dtype=object),
-                             "level": pd.Series([], dtype="int64")})
-    nodes = np.unique(np.concatenate(parts))
+    nodes, idx_refs = edge_index(triples_ds, subj_col, obj_col)
     n = len(nodes)
-    nodes_ref = ray.put(nodes)
-    idx_refs = [
-        _index_edges.remote(b, nodes_ref, subj_col, obj_col) for b in refs
-    ]
-    if root is None:
-        # lexicographic-min SUBJECT (must have an outgoing edge):
-        # per-block min subjects, reduced on the driver
-        subj_mins = [
-            p for p in ray.get(
-                [_min_subject.remote(b, subj_col) for b in refs]
-            ) if p is not None
-        ]
-        if not subj_mins:
-            return pd.DataFrame({"entity": pd.Series([], dtype=object),
-                                 "level": pd.Series([], dtype="int64")})
-        root = min(subj_mins)
-    ri = int(np.searchsorted(nodes, root))
-    if ri >= n or nodes[ri] != root:
-        raise ValueError(f"root {root!r} not in graph")
     level = np.full(n, -1, dtype=np.int64)
-    level[ri] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[ri] = True
+    if n:
+        level[_root_index(nodes, idx_refs, root)] = 0
     for depth in range(1, max_depth + 1):
-        f_ref = ray.put(frontier)
-        reached = np.zeros(n, dtype=bool)
-        for part in ray.get(
-            [_frontier_step.remote(i, f_ref, n) for i in idx_refs]
-        ):
-            reached |= part
-        frontier = reached & (level < 0)
+        frontier = _reach(idx_refs, level == depth - 1) & (level < 0)
         if not frontier.any():
             break
         level[frontier] = depth
@@ -657,14 +648,6 @@ def bfs_levels(
         .sort_values("entity")
         .reset_index(drop=True)
     )
-
-
-@ray.remote
-def _min_subject(block, subj_col):
-    t = block.to_pandas()
-    if len(t) == 0 or subj_col not in t.columns:
-        return None
-    return str(t[subj_col].min())
 
 
 @ray.remote
@@ -721,42 +704,14 @@ def cheapest_paths(
     O(N_nodes) ints; edges never leave the store.
 
     Returns (entity, cost) for nodes reachable within ``n_rounds``."""
-    sel = [subj_col, obj_col] + ([weight_col] if weight_col else [])
-    refs = triples_ds.select_columns(sel).materialize().to_arrow_refs()
-    parts = ray.get(
-        [_distinct_nodes.remote(b, subj_col, obj_col) for b in refs]
-    )
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return pd.DataFrame({"entity": pd.Series([], dtype=object),
-                             "cost": pd.Series([], dtype="int64")})
-    nodes = np.unique(np.concatenate(parts))
+    nodes, idx_refs = edge_index(triples_ds, subj_col, obj_col, weight_col)
     n = len(nodes)
-    nodes_ref = ray.put(nodes)
-    idx_refs = [
-        _index_edges.remote(b, nodes_ref, subj_col, obj_col, weight_col)
-        for b in refs
-    ]
-    if root is None:
-        subj_mins = [
-            p for p in ray.get(
-                [_min_subject.remote(b, subj_col) for b in refs]
-            ) if p is not None
-        ]
-        root = min(subj_mins)
-    ri = int(np.searchsorted(nodes, root))
-    if ri >= n or nodes[ri] != root:
-        raise ValueError(f"root {root!r} not in graph")
     dist = np.full(n, _BF_INF, np.int64)
-    dist[ri] = 0
+    if n:
+        dist[_root_index(nodes, idx_refs, root)] = 0
     for _ in range(n_rounds):
-        d_ref = ray.put(dist)
-        merged = np.full(n, _BF_INF, np.int64)
-        for part in ray.get(
-            [_relax_step.remote(i, d_ref, n, _BF_INF) for i in idx_refs]
-        ):
-            np.minimum(merged, part, out=merged)
-        new = np.minimum(dist, merged)
+        new = functools.reduce(np.minimum, _round(
+            _relax_step, idx_refs, ray.put(dist), n, _BF_INF), dist)
         if np.array_equal(new, dist):
             break  # fixpoint — further rounds no-op (SQL ones too)
         dist = new
@@ -822,23 +777,11 @@ def hits(
     hubs) — all-ones weights reproduce the unweighted scores exactly.
 
     Returns (entity, hub_q, auth_q)."""
-    sel = [subj_col, obj_col] + ([weight_col] if weight_col else [])
-    refs = triples_ds.select_columns(sel).materialize().to_arrow_refs()
-    parts = ray.get(
-        [_distinct_nodes.remote(b, subj_col, obj_col) for b in refs]
-    )
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return pd.DataFrame({"entity": pd.Series([], dtype=object),
-                             "hub_q": pd.Series([], dtype="int64"),
-                             "auth_q": pd.Series([], dtype="int64")})
-    nodes = np.unique(np.concatenate(parts))
+    nodes, idx_refs = edge_index(triples_ds, subj_col, obj_col, weight_col)
     n = len(nodes)
-    nodes_ref = ray.put(nodes)
-    idx_refs = [
-        _index_edges.remote(b, nodes_ref, subj_col, obj_col, weight_col)
-        for b in refs
-    ]
+    if not n:
+        return pd.DataFrame({"entity": nodes, "hub_q": np.zeros(0, np.int64),
+                             "auth_q": np.zeros(0, np.int64)})
     mass = n * int(scale)
     h = np.full(n, int(scale), np.int64)
     a = np.zeros(n, np.int64)
@@ -848,19 +791,19 @@ def hits(
         return v // max(t // mass, 1)
 
     for _ in range(n_iter):
-        v_ref = ray.put(h)
-        raw = np.zeros(n, np.int64)
-        for p in ray.get([_hits_pass.remote(i, v_ref, n, "auth")
-                          for i in idx_refs]):
-            raw += p
-        a = _norm(raw)
-        v_ref = ray.put(a)
-        raw = np.zeros(n, np.int64)
-        for p in ray.get([_hits_pass.remote(i, v_ref, n, "hub")
-                          for i in idx_refs]):
-            raw += p
-        h = _norm(raw)
+        a = _norm(sum(_round(_hits_pass, idx_refs, ray.put(h), n, "auth")))
+        h = _norm(sum(_round(_hits_pass, idx_refs, ray.put(a), n, "hub")))
     return pd.DataFrame({"entity": nodes, "hub_q": h, "auth_q": a})
+
+
+@ray.remote
+def _alive_degree(idx_pair, alive_ref, n):
+    """One block's degree partial over the edges whose two ends are both
+    alive (merge = sum)."""
+    src, dst, _w = idx_pair
+    both = alive_ref[src] & alive_ref[dst]
+    return (np.bincount(src[both], minlength=n)
+            + np.bincount(dst[both], minlength=n))
 
 
 def kcore(triples_ds, k: int = 2, n_rounds: int = 16,
@@ -874,61 +817,24 @@ def kcore(triples_ds, k: int = 2, n_rounds: int = 16,
     while 16 rounds is far past fixpoint for hub-shaped KG graphs
     (peeling depth grows with graph diameter, not size).
 
-    Distributed shape: the edge table stays a Dataset throughout; each
-    round is one combiner degree pass (node-sized result) + one
-    broadcast-membership edge filter (alive set via ray.put, read
-    zero-copy per batch) — 2 passes over edge blocks per round, never
-    an edge collect. The alive set is node-sized driver state, the
-    same budget as pagerank's rank vector; at web scale swap it for a
-    Bloom filter + exact re-check."""
-    from recon_ray.functions.relational import distinct
-
-    def canon(b: pd.DataFrame) -> pd.DataFrame:
-        s, o = b[subj_col], b[obj_col]
-        lo = s.where(s <= o, o)
-        hi = o.where(s <= o, s)
-        out = pd.DataFrame({"u": lo, "v": hi})
-        return out[lo != hi].drop_duplicates()
-
-    edges = distinct(
-        triples_ds.map_batches(
-            # explicit batch_size COALESCES upstream micro-blocks (a
-            # filtered pipeline output arrives as many tiny blocks;
-            # measured 57.5 s -> 3.4 s on the sf0.1 call graph census)
-            canon, batch_format="pandas", batch_size=131072,
-        ), ["u", "v"]
-    ).materialize()
-
-    def deg_partial(b: pd.DataFrame) -> pd.DataFrame:
-        c = pd.concat([b["u"], b["v"]]).value_counts()
-        return pd.DataFrame({"entity": c.index,
-                             "d": c.to_numpy(np.int64)})
-
-    def degrees(e) -> pd.DataFrame:
-        out = _sum_partials(
-            e.map_batches(deg_partial, batch_format="pandas"),
-            "entity", ["d"],
-        )
-        out["d"] = out["d"].astype("int64")
-        return out
-
-    for _ in range(n_rounds):
-        deg = degrees(edges)
-        alive = set(deg.loc[deg["d"] >= k, "entity"])
-        if len(alive) == len(deg):
-            break                       # fixpoint: further rounds no-op
-        ref = ray.put(alive)
-
-        def keep_edges(b: pd.DataFrame) -> pd.DataFrame:
-            s = ray.get(ref)
-            return b[b["u"].isin(s) & b["v"].isin(s)]
-
-        edges = edges.map_batches(keep_edges,
-                                  batch_format="pandas").materialize()
-
-    out = degrees(edges)
-    out = out.rename(columns={"d": "core_degree"})
-    return out.sort_values("entity").reset_index(drop=True)
+    Distributed shape: the pagerank pattern over the edge index of the
+    undirected edges. The surviving edges are those whose two ends are
+    alive, so a round is one degree task per edge block against the
+    broadcast alive mask, summed on the driver; a node is present when
+    its degree is > 0. Driver state is two node-sized vectors, the
+    rank-vector budget; edges never leave the object store."""
+    nodes, idx_refs = edge_index(
+        _undirected_edges(triples_ds, subj_col, obj_col), "u", "v")
+    n = len(nodes)
+    alive = np.ones(n, dtype=bool)
+    for r in range(n_rounds + 1):
+        deg = sum(_round(_alive_degree, idx_refs, ray.put(alive), n),
+                  np.zeros(n, np.int64))
+        if r == n_rounds or not ((deg > 0) & (deg < k)).any():
+            break  # the last round, or a fixpoint (further rounds are no-ops)
+        alive = deg >= k
+    present = deg > 0
+    return pd.DataFrame({"entity": nodes[present], "core_degree": deg[present]})
 
 
 def kcore_oracle_sql(edges_select: str, k: int = 2,
@@ -982,71 +888,21 @@ def topo_levels(triples_ds, n_rounds: int = 16,
     ``level = -1``. A pure function of (edges, n_rounds) that the
     unrolled-CTE SQL oracle reproduces verbatim.
 
-    Distributed shape (same budget as :func:`kcore`): the distinct
-    edge table stays a Dataset; each round is one combiner
-    distinct-targets pass (node-sized result) + one broadcast-set
-    edge filter dropping the newly resolved nodes' OUT-edges — 2
-    passes over edge blocks per round, never an edge collect. Driver
-    state is the node-sized level map, pagerank's rank-vector budget."""
-    from recon_ray.functions.relational import distinct
-
-    def canon(b: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"s": b[subj_col], "o": b[obj_col]})
-        return out.drop_duplicates()  # self-loops stay: they are cycles
-
-    edges = distinct(
-        triples_ds.map_batches(canon, batch_format="pandas",
-                               batch_size=131072),
-        ["s", "o"],
-    ).materialize()
-
-    def node_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"entity": pd.unique(pd.concat([b["s"], b["o"]]))})
-
-    all_nodes = set(
-        pd.concat(
-            [b["entity"] for b in edges.map_batches(
-                node_partial, batch_format="pandas"
-            ).iter_batches(batch_format="pandas")]
-            or [pd.Series([], dtype=object)],
-            ignore_index=True,
-        ).unique()
-    )
-
-    def target_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"entity": b["o"].unique()})
-
-    level: dict = {}
+    Distributed shape: BFS's reach round over the edge index of the
+    directed edges (self-loops stay: they are cycles; repeated edges
+    change nothing). Per round the unresolved mask is broadcast once and
+    each edge block task marks the targets of edges whose source is
+    unresolved (merge = OR); the unresolved nodes that no such edge
+    reaches resolve at this round's level. Driver state is the
+    node-sized level vector, pagerank's rank-vector budget."""
+    nodes, idx_refs = edge_index(triples_ds, subj_col, obj_col)
+    level = np.full(len(nodes), -1, dtype=np.int64)
     for r in range(n_rounds):
-        has_in = set(
-            pd.concat(
-                [b["entity"] for b in edges.map_batches(
-                    target_partial, batch_format="pandas"
-                ).iter_batches(batch_format="pandas")]
-                or [pd.Series([], dtype=object)],
-                ignore_index=True,
-            ).unique()
-        )
-        newly = all_nodes - set(level) - has_in
-        if not newly:
+        newly = (level < 0) & ~_reach(idx_refs, level < 0)
+        if not newly.any():
             break  # fixpoint: only cyclic/downstream nodes remain
-        for e in newly:
-            level[e] = r
-        ref = ray.put(newly)
-
-        def drop_out(b: pd.DataFrame) -> pd.DataFrame:
-            res = ray.get(ref)
-            return b[~b["s"].isin(res)]
-
-        edges = edges.map_batches(drop_out,
-                                  batch_format="pandas").materialize()
-
-    out = pd.DataFrame({
-        "entity": sorted(all_nodes),
-    })
-    out["level"] = out["entity"].map(level).fillna(-1).astype("int64")
-    return out.reset_index(drop=True)
+        level[newly] = r
+    return pd.DataFrame({"entity": nodes, "level": level})
 
 
 def topo_levels_oracle_sql(edges_select: str,
@@ -1119,25 +975,9 @@ def link_prediction(triples_ds, subj_col: str = "subj",
        driver key set);
     5. per-batch local top-k → driver merges ≤ k·n_batches rows; only
        then do the two degree lookups (dim-sized) decorate Jaccard."""
-    from recon_ray.functions.relational import (
-        bucketed_group_apply, distinct,
-    )
+    from recon_ray.functions.relational import bucketed_group_apply
 
-    def canon(b: pd.DataFrame) -> pd.DataFrame:
-        s, o = b[subj_col], b[obj_col]
-        lo = s.where(s <= o, o)
-        hi = o.where(s <= o, s)
-        out = pd.DataFrame({"u": lo, "v": hi})
-        return out[lo != hi].drop_duplicates()
-
-    edges = distinct(
-        triples_ds.map_batches(
-            # explicit batch_size COALESCES upstream micro-blocks (a
-            # filtered pipeline output arrives as many tiny blocks;
-            # measured 57.5 s -> 3.4 s on the sf0.1 call graph census)
-            canon, batch_format="pandas", batch_size=131072,
-        ), ["u", "v"]
-    ).materialize()
+    edges = _undirected_edges(triples_ds, subj_col, obj_col)
 
     inc = edges.map_batches(
         lambda b: pd.DataFrame(

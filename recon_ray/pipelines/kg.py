@@ -202,26 +202,17 @@ def scan_symbols(files_ds) -> pa.Table:
     ))
 
 
-def _as_arrow(block) -> pa.Table:
-    """A pinned doc block as Arrow (empty blocks can be pandas frames)."""
-    import pandas as pd
-
-    if isinstance(block, pd.DataFrame):
-        return pa.Table.from_pandas(block, preserve_index=False)
-    return block
-
-
 @ray.remote
 def _defs_block(block) -> pa.Table:
     """Task form of the DEF kernel over one materialized doc block."""
-    return defs_of(_as_arrow(block))
+    return defs_of(block)
 
 
 def _link_kernel(block, symbols: pa.Table) -> pa.Table:
     """Link one pinned doc block against the symbol table and
     pre-aggregate its triples into the canonicalize partial
     ``(KEY_COLS, n_mentions, prov)``."""
-    return partial_canonicalize(link_block(_as_arrow(block), symbols))
+    return partial_canonicalize(link_block(block, symbols))
 
 
 _link_block = ray.remote(_link_kernel)

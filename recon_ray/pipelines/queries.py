@@ -1965,9 +1965,10 @@ def kg_hits(sf_dir: str):
 
 def kg_components(sf_dir: str):
     """Connected components of the undirected entity graph by iterative
-    min-label propagation. Oracled: DuckDB recursive-CTE transitive
-    closure + min reached label per node gives the identical
-    lexicographic-min-entity component labels."""
+    min-label propagation over the once-built edge index (one task per
+    edge block per round, an elementwise min on the driver). Oracled:
+    DuckDB recursive-CTE transitive closure + min reached label per node
+    gives the identical lexicographic-min-entity component labels."""
     from recon_ray.functions.graph import graph_components
 
     return graph_components(_kg(sf_dir)["canonical_ds"])
@@ -1978,7 +1979,8 @@ def kg_communities(sf_dir: str):
     """Community detection over the undirected entity graph by
     deterministic SYNCHRONOUS label propagation
     (functions.graph.label_propagation): 4 fixed rounds of
-    most-frequent-neighbor-label with lexicographic-min tie-break —
+    most-frequent-neighbor-label with lexicographic-min tie-break, each
+    one task per block of the once-built undirected edge index —
     layout-invariant by construction (synchronous update + exact counts),
     and bit-matched by the unrolled-CTE oracle replaying the identical
     rule over the gold triples."""
@@ -2077,6 +2079,16 @@ def kg_call_triangles(sf_dir: str):
     return triangle_stats(edges)
 
 
+def _busiest_caller(edges) -> str:
+    """The root of the call-graph path queries: the highest-out-degree
+    caller, ties to the lexicographic min (``degree_table`` is sorted by
+    entity, and ``argmax`` keeps the first maximum)."""
+    from recon_ray.functions.graph import degree_table
+
+    deg = degree_table(edges)
+    return str(deg["entity"].iloc[deg["out_degree"].to_numpy().argmax()])
+
+
 def kg_call_bfs_levels(sf_dir: str):
     """Single-source BFS shortest-path levels over the directed call
     graph (functions.graph.bfs_levels): edge blocks indexed once against
@@ -2094,10 +2106,7 @@ def kg_call_bfs_levels(sf_dir: str):
         _kg(sf_dir)["canonical_ds"],
         lambda t: pc.equal(t.column("pred"), "calls"),
     ).select_columns(["subj", "obj"])
-    deg = group_count(edges, "subj", alias="d")
-    root = deg.sort_values(["d", "subj"], ascending=[False, True],
-                           kind="mergesort")["subj"].iloc[0]
-    out = bfs_levels(edges, root=str(root), max_depth=20)
+    out = bfs_levels(edges, root=_busiest_caller(edges), max_depth=20)
     out["level"] = out["level"].astype("int64")
     return out
 
@@ -2135,20 +2144,17 @@ def kg_call_cheapest(sf_dir: str):
         _kg(sf_dir)["canonical_ds"],
         lambda t: pc.equal(t.column("pred"), "calls"),
     ).select_columns(["subj", "obj", "n_mentions"])
-    deg = group_count(edges, "subj", alias="d")
-    root = deg.sort_values(["d", "subj"], ascending=[False, True],
-                           kind="mergesort")["subj"].iloc[0]
-    return cheapest_paths(edges, root=str(root), n_rounds=8,
+    return cheapest_paths(edges, root=_busiest_caller(edges), n_rounds=8,
                           weight_col="n_mentions")
 
 
 def kg_kcore(sf_dir: str):
     """2-core of the undirected call graph (functions.graph.kcore):
-    fixed-16-round degree peel — each round one combiner degree pass
-    plus one broadcast-membership edge filter, edges never collected.
-    Output is (entity, core_degree) of the surviving subgraph,
-    bit-matched by the unrolled MATERIALIZED-CTE oracle running the
-    identical peel."""
+    fixed-16-round degree peel — each round one degree task per block
+    of the once-built edge index against the broadcast alive mask,
+    edges never collected. Output is (entity, core_degree) of the
+    surviving subgraph, bit-matched by the unrolled MATERIALIZED-CTE
+    oracle running the identical peel."""
     from recon_ray.functions.graph import kcore
 
     edges = arrow_filter(
@@ -2164,8 +2170,8 @@ def kg_call_topo_levels(sf_dir: str):
     level = longest call-chain depth from any entry point, -1 for
     functions on (or downstream of) call cycles — the dependency
     ordering a build/analysis pass over the KG needs. Each round is
-    one combiner distinct-targets pass + one broadcast-set edge
-    filter; bit-matched by the unrolled-CTE SQL oracle."""
+    one task per block of the once-built edge index marking the targets
+    of unresolved sources; bit-matched by the unrolled-CTE SQL oracle."""
     from recon_ray.functions.graph import topo_levels
 
     edges = arrow_filter(

@@ -39,7 +39,7 @@ import ray
 from recon_ray import spec
 from recon_ray.functions.stats import _partial_coverage, _partial_label_counts
 from recon_ray.hashing import combine_u64
-from recon_ray.pipelines.kg import (_as_arrow, list_fragments, read_files,
+from recon_ray.pipelines.kg import (list_fragments, read_files,
                                     run_kg, scan_symbols)
 from recon_ray.stages.canonicalize import merge_partials, partial_canonicalize
 from recon_ray.stages.link import build_symbol_broadcast
@@ -89,15 +89,11 @@ def symbols_digest(symbols: pa.Table) -> str:
     return hashlib.sha256(_joined(rows, "\n").as_buffer()).hexdigest()
 
 
-def _doc_block_stats(block) -> tuple[tuple[int, int, int], pa.Table, pa.Table]:
+def _doc_block_stats(block: pa.Table) -> tuple[tuple[int, int, int], pa.Table, pa.Table]:
     """One pinned doc block → ``(n_docs, n_mentions, sha rollup)``, its
     lower-cased ``(text, label)`` coverage partial and its label-count
     partial. The ``mentions`` list column is flattened, not exploded:
     the flattened length is the exploded row count."""
-    block = _as_arrow(block)
-    # an empty block can arrive without any columns
-    if block.num_rows == 0 or "mentions" not in block.column_names:
-        return (block.num_rows, 0, 0), _NO_COVERAGE, _NO_LABELS
     child = block.column("mentions").combine_chunks().flatten()
     spans = pa.table({"text": child.field("text"), "label": child.field("label")})
     return ((block.num_rows, spans.num_rows,

@@ -350,3 +350,74 @@ def test_topo_levels_matches_oracle_random(triples, ray_session):
         "SELECT subj, obj FROM edges", n_rounds=16)).df()
     assert got["entity"].tolist() == ora["entity"].tolist()
     assert got["level"].tolist() == ora["level"].tolist()
+
+
+@pytest.mark.parametrize("edges", ["empty", "self_loops"])
+def test_graph_loops_on_empty_and_self_loop_input(edges):
+    """No edges, or only self-loops: each loop keeps its columns and
+    dtypes. Self-loops are no undirected edges (k-core and communities
+    are empty) but are nodes of the component and topological graphs
+    (each its own component; each on a cycle, so level -1)."""
+    from recon_ray.functions.graph import (kcore, label_propagation,
+                                           topo_levels)
+
+    if edges == "empty":
+        df = pd.DataFrame({"subj": pd.Series([], dtype=object),
+                           "obj": pd.Series([], dtype=object)})
+    else:
+        df = pd.DataFrame({"subj": ["a", "b"], "obj": ["a", "b"]})
+    ds = rd.from_pandas(df)
+    n_nodes = len(set(df["subj"]))
+    cases = [
+        (kcore(ds), {"entity": "object", "core_degree": "int64"}, 0),
+        (label_propagation(ds),
+         {"entity": "object", "community": "object"}, 0),
+        (graph_components(ds),
+         {"entity": "object", "component": "object"}, n_nodes),
+        (topo_levels(ds), {"entity": "object", "level": "int64"}, n_nodes),
+    ]
+    for got, dtypes, n_rows in cases:
+        assert got.dtypes.astype(str).to_dict() == dtypes
+        assert len(got) == n_rows
+    if edges == "self_loops":
+        assert cases[2][0]["component"].tolist() == ["a", "b"]
+        assert cases[3][0]["level"].tolist() == [-1, -1]
+
+
+def test_graph_round_loops_start_no_ray_data_execution(monkeypatch):
+    """The iterative loops run their rounds as plain tasks over the edge
+    index: one round and many rounds start the same number of Ray Data
+    executions (components: a 2-node chain converges at once, a 40-node
+    chain takes ~40 rounds)."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from recon_ray.functions.graph import (kcore, label_propagation,
+                                           topo_levels)
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+
+    def chain(n):
+        names = [f"c{i:02d}" for i in range(n + 1)]
+        return rd.from_pandas(pd.DataFrame(
+            {"subj": names[:-1], "obj": names[1:]})).repartition(3)
+
+    def executions(fn, ds, **kw):
+        calls.clear()
+        fn(ds, **kw)
+        return len(calls)
+
+    long = chain(40)
+    for fn, arg in ((kcore, "n_rounds"), (topo_levels, "n_rounds"),
+                    (label_propagation, "n_rounds")):
+        one = executions(fn, long, **{arg: 1})
+        assert one == executions(fn, long, **{arg: 40}), fn.__name__
+    assert (executions(graph_components, chain(1))
+            == executions(graph_components, long))

@@ -260,28 +260,28 @@ def test_symbols_from_docs_equals_scan(unit_corpus_dir, kg_result):
 
 
 def test_small_batches_with_empty_read_blocks(tmp_path):
-    """The per-block DEF and link tasks take empty blocks, column-less
-    Arrow tables and 0-row pandas frames alike (Ray can hand either to
-    a task), and return their empty output with the full schema. And 32
-    files in 8 fragments, each cut into byte-budgeted detect slices, must
-    still equal the reference extractor's output."""
-    import pyarrow as pa
+    """The per-block DEF and link tasks take an empty doc block (a 0-row
+    fragment's detect slice: every column, no rows) and return their
+    empty output with the full schema. And 32 files in 8 fragments, each
+    cut into byte-budgeted detect slices, must still equal the reference
+    extractor's output."""
     import ray
 
     from recon_ray import reference_extractor as rx
     from recon_ray.corpusgen import generate_corpus, write_corpus
-    from recon_ray.pipelines.kg import _defs_block, _link_block
+    from recon_ray.pipelines.kg import _defs_block, _detect_kernel, _link_block
     from recon_ray.stages.canonicalize import _EMPTY_PARTIAL
     from recon_ray.stages.link import merge_symbols
 
     symbols_ref = ray.put(merge_symbols())  # the empty symbol table
-    for empty in (pa.table({}), pd.DataFrame()):
-        defs = ray.get(_defs_block.remote(empty))
-        assert defs.num_rows == 0
-        assert defs.column_names == ["repo", "module", "name"]
-        part = ray.get(_link_block.remote(empty, symbols_ref))
-        assert part.num_rows == 0
-        assert part.schema == _EMPTY_PARTIAL.schema
+    empty = _detect_kernel(generate_corpus(1, seed=7), 0, 0)
+    assert empty.num_rows == 0 and "mentions" in empty.column_names
+    defs = ray.get(_defs_block.remote(empty))
+    assert defs.num_rows == 0
+    assert defs.column_names == ["repo", "module", "name"]
+    part = ray.get(_link_block.remote(empty, symbols_ref))
+    assert part.num_rows == 0
+    assert part.schema == _EMPTY_PARTIAL.schema
     d = write_corpus(32, str(tmp_path / "files"), seed=7, files_per_fragment=4)
     got = run_kg(d)["canonical"].to_pandas()
     gold = pd.DataFrame(

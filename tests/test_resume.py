@@ -273,15 +273,21 @@ def test_shard_tail_matches_library_definitions(tmp_path_factory):
 
 @pytest.mark.parametrize("block", ["arrow", "pandas"])
 def test_doc_block_stats_of_an_empty_block(block):
-    """An empty doc block (Ray can hand one over without columns, as an
-    Arrow table or a pandas frame) gives zero counts and 0-row partials
-    of the full schema."""
+    """An empty doc block (a 0-row fragment's detect slice: every column,
+    no rows) gives zero counts and 0-row partials of the full schema,
+    also after a round trip through a pandas frame under the docs
+    schema."""
     import pyarrow as pa
     import ray
 
+    from recon_ray.corpusgen import generate_corpus
+    from recon_ray.pipelines.kg import _detect_kernel
     from recon_ray.state.runner import _doc_block_stats_task
 
-    empty = pa.table({}) if block == "arrow" else pd.DataFrame()
+    empty = _detect_kernel(generate_corpus(1, seed=7), 0, 0)
+    if block == "pandas":
+        empty = pa.Table.from_pandas(
+            empty.to_pandas(), schema=empty.schema, preserve_index=False)
     counts, cov, labels = ray.get(_doc_block_stats_task.remote(empty))
     assert counts == (0, 0, 0)
     assert cov.num_rows == labels.num_rows == 0

@@ -270,11 +270,18 @@ def exchange(sides, n_buckets: int, fn, rule=hash_buckets) -> list:
 
 
 def to_table(ds) -> pa.Table:
-    """A materialized Dataset with at least one block, such as an
-    exchange result (``from_arrow_refs`` over the reduce refs), as one
-    Arrow table. It keeps the columns when every block is empty, where
-    Ray 2.49's ``to_pandas`` returns a frame without any."""
-    return pa.concat_tables(ray.get(ds.to_arrow_refs()), promote_options="default")
+    """A materialized Dataset, such as an exchange result
+    (``from_arrow_refs`` over the reduce refs), as one Arrow table. It
+    keeps the columns when every block is empty, where Ray 2.49's
+    ``to_pandas`` returns a frame without any. Empty blocks that skipped
+    an Arrow UDF stay column-less pandas frames, which ``to_arrow_refs``
+    hands through; they are dropped, and with no block left the table
+    is the schema's empty one."""
+    blocks = [b for b in ray.get(ds.to_arrow_refs())
+              if isinstance(b, pa.Table) or len(b)]
+    if not blocks:
+        return ds.schema().base_schema.empty_table()
+    return pa.concat_tables(blocks, promote_options="default")
 
 
 def _arrow_type(t) -> Optional[pa.DataType]:

@@ -62,8 +62,9 @@ from recon_ray.stages.explode import explode_mentions
 from recon_ray.stages.link import (SYMBOL_ROWS_SCHEMA, defs_of, link_block,
                                    merge_symbols)
 
-#: docs per DEF-scan batch (``scan_symbols``) — source files average
-#: ~1-4 KB here; detection itself is sized by bytes (MAX_SLICE_BYTES).
+#: docs per DEF-scan batch of ``scan_symbols``, which only the benchmark
+#: and the tests call — source files average ~1-4 KB here; detection
+#: itself is sized by bytes (MAX_SLICE_BYTES).
 DEFAULT_BATCH_SIZE = 128
 
 #: the most content bytes one detect slice takes (a single larger file
@@ -86,10 +87,9 @@ def list_fragments(input_path: Union[str, list]) -> list[str]:
 
 
 def read_files(input_path: str, parallelism: Optional[int] = None):
-    """The corpus as a Ray Data Dataset (the DEF-only scan reads it this
-    way; ``run_kg`` reads its fragments in plain tasks). All five columns
-    are needed (content for detection, the rest for provenance/keys) so
-    no column pruning applies here."""
+    """The corpus as a Ray Data Dataset, for the benchmark and the tests
+    (``run_kg`` and the checkpointed runner read fragments in plain
+    tasks). All five columns are read."""
     kwargs = {}
     if parallelism:
         kwargs["override_num_blocks"] = parallelism
@@ -192,8 +192,10 @@ def _symbol_rows(ds) -> pa.Table:
 
 
 def scan_symbols(files_ds) -> pa.Table:
-    """Pass 1: DEF-only scan → ``(repo, module, name)`` rows. The
-    checkpointed runner builds its global symbol table with it."""
+    """DEF-only scan of a files Dataset → ``(repo, module, name)`` rows,
+    for the benchmark and the tests. The checkpointed runner maps the
+    same kernel, ``scan_symbols_batch``, over its fragments in plain
+    tasks."""
     return _symbol_rows(files_ds.map_batches(
         scan_symbols_batch,
         batch_format="pyarrow",
@@ -243,7 +245,9 @@ def run_kg(
     Parquet fragments, one fragment, or a list of them.
     Returns the component Datasets (``canonical`` sorted by
     (subj, pred, obj)), the pinned doc block refs behind ``docs``
-    (``doc_refs``), the symbol table ref and the lineage tracker.
+    (``doc_refs``), the key-range reduce refs behind ``canonical``
+    (``canonical_refs``, in key order), the symbol table ref and the
+    lineage tracker.
 
     ``symbols_ref``: pass a pre-broadcast symbol table (the ref from
     ``stages/link.py:build_symbol_broadcast``) to link against it instead
@@ -282,12 +286,14 @@ def run_kg(
     # and each reads it zero-copy from the object store.
     partials = [_link_block.remote(ref, symbols_ref) for ref in block_refs]
     docs = rd.from_arrow_refs(block_refs)
+    canonical_refs = merge_partials(partials)
 
     return {
         "docs": docs,
         "doc_refs": block_refs,
         "mentions": explode_mentions(docs),
-        "canonical": merge_partials(partials),
+        "canonical": rd.from_arrow_refs(canonical_refs),
+        "canonical_refs": canonical_refs,
         "symbols_ref": symbols_ref,
         "tracker": tracker,
     }

@@ -163,22 +163,21 @@ def _sample_key_boundaries(refs, n_ranges: int) -> list[str]:
     return _key_boundaries(keys, n_ranges)
 
 
-def merge_partials(refs):
+def merge_partials(refs) -> list:
     """Partial-block refs (each a :func:`partial_canonicalize` output) →
-    the canonical Dataset, sorted by (subj, pred, obj): key boundaries
+    the canonical triples as one reduce ref per key range, in key order,
+    so their concatenation is sorted by (subj, pred, obj): key boundaries
     sampled from the partials, then one :func:`exchange` under the range
     rule, where each partial block is split into its key ranges once and
     one reduce task per range merges with one vectorized Arrow group_by,
     sorts and unpacks. The shared tail of :func:`canonicalize`, of
     ``run_kg``, whose link tasks return partials directly, and of the
-    checkpointed runner's final merge. The reduce
-    output stays in the object store (``from_arrow_refs``)."""
-    import ray.data as rd
-
+    checkpointed runner's final merge, which writes each range in a
+    task of its own."""
     bounds = _sample_key_boundaries(refs, min(MAX_REDUCERS, cluster_cpus()))
     rule = partial(_range_buckets, pa.array(bounds, pa.string()))
-    return rd.from_arrow_refs(exchange(
-        [(refs, KEY_COLS, _EMPTY_PARTIAL)], len(bounds) + 1, _merge_range, rule))
+    return exchange(
+        [(refs, KEY_COLS, _EMPTY_PARTIAL)], len(bounds) + 1, _merge_range, rule)
 
 
 def canonicalize(triples_ds, sort: bool = True):
@@ -207,6 +206,8 @@ def canonicalize(triples_ds, sort: bool = True):
     partials = triples_ds.map_batches(
         partial_canonicalize, batch_format="pyarrow", zero_copy_batch=True
     )
+    import ray.data as rd
+
     # materialize first: on a lazy Dataset, to_arrow_refs() runs the plan
     # a second time to fetch the schema (Ray 2.49)
-    return merge_partials(partials.materialize().to_arrow_refs())
+    return rd.from_arrow_refs(merge_partials(partials.materialize().to_arrow_refs()))

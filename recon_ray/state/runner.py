@@ -11,16 +11,20 @@ BASELINE.json.
 
 Each shard is internally fully parallel (the whole cluster works on one
 shard's fragments); shard size trades resume granularity against scheduling
-overhead — at 100 TB, hundreds of multi-GB shards. After ``run_kg``, a
-shard's bookkeeping runs as plain tasks over the doc blocks ``run_kg``
-already pinned: one stats task per block flattens the ``mentions`` list
-column (no explode) and returns the block's doc and mention counts, its
-content-hash rollup and its coverage and label-count partials; one task
-per shard merges those partials into the per-shard quality insights
-(entity coverage, label counts — north_star "per partition"), written
-next to the shard's triples. The driver only sees the counts. The final
-merge reads each shard file in its own task into a canonicalize partial
-and feeds the partials to ``merge_partials``, the tail ``run_kg`` shares.
+overhead — at 100 TB, hundreds of multi-GB shards. Every step is plain
+tasks, and the runner starts no Ray Data execution: one DEF-only scan
+task per fragment feeds the global symbol table; per shard, one task per
+canonical key range (``run_kg``'s ``canonical_refs``) writes its Parquet
+file and returns its counts, and one stats task per doc block ``run_kg``
+pinned flattens the ``mentions`` list column (no explode) and returns the
+block's doc and mention counts, its content-hash rollup and its coverage
+and label-count partials; one task per shard merges those partials into
+the per-shard quality insights (entity coverage, label counts —
+north_star "per partition"), written next to the shard's triples. The
+driver only sees the counts. The final merge reads each shard file in its
+own task into a canonicalize partial, feeds the partials to
+``merge_partials``, the tail ``run_kg`` shares, and writes each range as
+a shard does.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ import ray
 from recon_ray import spec
 from recon_ray.functions.stats import _partial_coverage, _partial_label_counts
 from recon_ray.hashing import combine_u64
-from recon_ray.pipelines.kg import (list_fragments, read_files,
-                                    run_kg, scan_symbols)
+from recon_ray.pipelines.kg import list_fragments, run_kg
 from recon_ray.stages.canonicalize import merge_partials, partial_canonicalize
-from recon_ray.stages.link import build_symbol_broadcast
+from recon_ray.stages.detect import scan_symbols_batch
+from recon_ray.stages.link import SYMBOL_ROWS_SCHEMA, build_symbol_broadcast
 from recon_ray.state import lineage as lin
 
 RUN_CONFIG_VERSION = {"extractor": spec.EXTRACTOR_TAG, "chain": "v1"}
@@ -134,6 +138,22 @@ def _file_partial(path: str) -> pa.Table:
     return partial_canonicalize(pq.read_table(path))
 
 
+@ray.remote
+def _scan_fragment(path: str) -> pa.Table:
+    """One fragment's DEF rows ``(repo, module, name)``."""
+    return scan_symbols_batch(
+        pq.read_table(path, columns=["repo", "path", "lang", "content"]))
+
+
+@ray.remote
+def _write_range(table: pa.Table, out_dir: str, i: int) -> tuple[int, int]:
+    """Write key range ``i`` of canonical triples to ``part-{i:05d}``
+    (file-name order is key order) → ``(rows, raw triples)``: a canonical
+    row's ``n_mentions`` counts the raw triples it absorbed."""
+    pq.write_table(table, os.path.join(out_dir, f"part-{i:05d}.parquet"))
+    return table.num_rows, pc.sum(table.column("n_mentions")).as_py() or 0
+
+
 def run_kg_checkpointed(
     input_path: str,
     out_dir: str,
@@ -158,7 +178,8 @@ def run_kg_checkpointed(
         symbols_table = pq.read_table(sym_parquet)
     else:
         t0 = time.time()
-        symbols_table = scan_symbols(read_files(fragments))
+        symbols_table = pa.concat_tables([SYMBOL_ROWS_SCHEMA.empty_table(), *ray.get(
+            [_scan_fragment.remote(f) for f in fragments])])
         with lin.atomic_output_dir(os.path.join(sym_dir, "data")) as tmp:
             pq.write_table(symbols_table, os.path.join(tmp, "symbols.parquet"))
         lin.write_manifest(
@@ -203,22 +224,14 @@ def run_kg_checkpointed(
         # the stats tasks run while the canonical write does
         stats = [_doc_block_stats_task.remote(ref) for ref in res["doc_refs"]]
 
-        triples_dir = os.path.join(shard_dir, "triples")
-        with lin.atomic_output_dir(triples_dir) as tmp:
-            res["canonical"].write_parquet(tmp)
-        # n_mentions of a canonical row = the raw triples it absorbed
-        n_canonical = n_triples = 0
-        for f in os.listdir(triples_dir):
-            if f.endswith(".parquet"):
-                col = pq.read_table(
-                    os.path.join(triples_dir, f), columns=["n_mentions"]
-                ).column("n_mentions")
-                n_canonical += len(col)
-                n_triples += pc.sum(col).as_py() or 0
-        if write_insights:
-            with lin.atomic_output_dir(os.path.join(shard_dir, "insights")) as tmp:
-                ray.get(_write_insights.remote(
-                    tmp, len(stats), *[s[1] for s in stats], *[s[2] for s in stats]))
+        with lin.atomic_output_dir(os.path.join(shard_dir, "triples")) as tmp:
+            writes = [_write_range.remote(ref, tmp, i)
+                      for i, ref in enumerate(res["canonical_refs"])]
+            if write_insights:
+                with lin.atomic_output_dir(os.path.join(shard_dir, "insights")) as itmp:
+                    ray.get(_write_insights.remote(
+                        itmp, len(stats), *[s[1] for s in stats], *[s[2] for s in stats]))
+            n_canonical, n_triples = map(sum, zip(*ray.get(writes)))
         counts = ray.get([s[0] for s in stats])
         # order-insensitive content-hash rollup (the shard's commit hash,
         # analogue of recon/hashing.py:88-100)
@@ -244,39 +257,24 @@ def run_kg_checkpointed(
     # --- stage 2: global merge (cheap: inputs are pre-canonicalized) -------
     final_dir = os.path.join(out_dir, "triples")
     if all_done:
-        merge_hash = lin.args_hash_for(
-            {
-                "args": shard_args_hash,
-                "shards": [m.content_hash_rollup or "" for m in manifests],
-            }
-        )
+        merge_hash = lin.args_hash_for({
+            "args": shard_args_hash, "shards": [m.content_hash_rollup or "" for m in manifests]})
         fm = lin.load_manifest(final_dir)
         if not (fm and fm.status == lin.COMPLETED and fm.args_hash == merge_hash):
             t0 = time.time()
             # enumerate ONLY this run's shard ids — a reused out_dir may hold
             # stale higher-numbered shard dirs from a previous run with a
             # different fragments_per_shard, which must not leak into the merge
-            shard_parts = [
-                os.path.join(out_dir, "shards", f"shard={sid:04d}", "triples", f)
-                for sid in range(len(shards))
-                for f in sorted(
-                    os.listdir(
-                        os.path.join(out_dir, "shards", f"shard={sid:04d}", "triples")
-                    )
-                )
-                if f.endswith(".parquet")
-            ]
+            shard_dirs = [os.path.join(out_dir, "shards", f"shard={sid:04d}", "triples")
+                          for sid in range(len(shards))]
+            shard_parts = [os.path.join(d, f) for d in shard_dirs
+                           for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
             merged = merge_partials([_file_partial.remote(p) for p in shard_parts])
             with lin.atomic_output_dir(os.path.join(final_dir, "data")) as tmp:
-                merged.write_parquet(tmp)
-            # count the MERGED rows (cross-shard triples dedupe at the global
-            # canonicalize, so summing per-shard counts would overstate)
-            data_dir = os.path.join(final_dir, "data")
-            n_merged = sum(
-                pq.ParquetFile(os.path.join(data_dir, f)).metadata.num_rows
-                for f in os.listdir(data_dir)
-                if f.endswith(".parquet")
-            )
+                # count the MERGED rows (cross-shard triples dedupe at the
+                # global canonicalize, so summing shard counts would overstate)
+                n_merged = sum(n for n, _ in ray.get(
+                    [_write_range.remote(ref, tmp, i) for i, ref in enumerate(merged)]))
             lin.write_manifest(
                 final_dir,
                 lin.ShardManifest(

@@ -1104,3 +1104,22 @@ def test_hash_join_rejects_unknown_join_type():
     ds = rd.from_pandas(pd.DataFrame({"k": [1]}))
     with pytest.raises(ValueError, match="unsupported join type"):
         shuffle_join(ds, ds, on="k", how="cross")
+
+
+def test_to_table_drops_column_less_empty_blocks():
+    """Empty blocks that skipped an Arrow UDF stay 0-row, column-less
+    pandas frames under an Arrow schema; ``to_table`` drops them rather
+    than fail to concatenate them."""
+    import pyarrow.compute as pc
+    import ray
+
+    from recon_ray.functions.relational import to_table
+
+    def double(t: pa.Table) -> pa.Table:
+        return t.set_column(0, "x", pc.multiply(t.column("x"), 2))
+
+    ds = rd.from_pandas(pd.DataFrame({"x": [3]})).repartition(3).map_batches(
+        double, batch_format="pyarrow").materialize()
+    blocks = ray.get(ds.to_arrow_refs())
+    assert any(not isinstance(b, pa.Table) for b in blocks)
+    assert to_table(ds).to_pydict() == {"x": [6]}

@@ -345,3 +345,73 @@ def test_symbols_digest_ignores_order_and_duplicates():
     grown = pa.concat_tables(
         [rows, pa.table({"repo": ["r2"], "module": ["b"], "name": ["h"]})])
     assert digest(grown) != base
+
+
+def test_runner_starts_no_ray_data_execution(tmp_path_factory, monkeypatch):
+    """The symbol scan, the shard writes and the final merge write run as
+    plain tasks: an interrupted, a resumed and a no-op run each start no
+    Ray Data execution."""
+    import pyarrow.parquet as pq
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from recon_ray.corpusgen import generate_corpus
+    from recon_ray.state.runner import run_kg_checkpointed
+
+    table = generate_corpus(200, seed=5)
+    files = tmp_path_factory.mktemp("noexec_files")
+    for i in range(4):
+        pq.write_table(table.slice(50 * i, 50), str(files / f"part-{i:05d}.parquet"))
+    out = str(tmp_path_factory.mktemp("noexec_out"))
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    counts = []
+    for kw, want in (({"max_shards": 1}, (1, 0, False)), ({}, (1, 1, True)),
+                     ({}, (0, 2, True))):
+        r = run_kg_checkpointed(str(files), out, fragments_per_shard=2, **kw)
+        assert (r["shards_run"], r["shards_skipped"], r["complete"]) == want
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == [0, 0, 0]
+
+
+def test_write_task_counts_match_the_files(tmp_path_factory):
+    """The counts the write tasks return are the files' counts: a shard
+    manifest's ``n_canonical``/``n_triples`` are its triples' rows and
+    ``n_mentions`` sum, the final manifest's ``n_canonical`` is the final
+    row count, and the stored DEF rows give the symbol table the Ray Data
+    scan gives."""
+    import pyarrow.parquet as pq
+
+    from recon_ray.corpusgen import generate_corpus
+    from recon_ray.pipelines.kg import list_fragments, read_files, scan_symbols
+    from recon_ray.stages.link import build_symbol_broadcast
+    from recon_ray.state import lineage as lin
+    from recon_ray.state.runner import run_kg_checkpointed
+
+    table = generate_corpus(160, seed=11)
+    files = tmp_path_factory.mktemp("counts_files")
+    for i in range(4):
+        pq.write_table(table.slice(40 * i, 40), str(files / f"part-{i:05d}.parquet"))
+    out = str(tmp_path_factory.mktemp("counts_out"))
+    r = run_kg_checkpointed(str(files), out, fragments_per_shard=2)
+    assert r["complete"] and r["shards_run"] == 2
+
+    for m in r["manifests"]:
+        triples = pd.read_parquet(
+            os.path.join(out, "shards", f"shard={m.shard_id:04d}", "triples"))
+        assert m.n_canonical == len(triples) > 0
+        assert m.n_triples == triples["n_mentions"].sum()
+    final = pd.read_parquet(r["final_dir"])
+    assert lin.load_manifest(os.path.join(out, "triples")).n_canonical == len(final) > 0
+
+    stored = pq.read_table(os.path.join(out, "symbols", "data", "symbols.parquet"))
+    scanned = scan_symbols(read_files(list_fragments(str(files))))
+    assert build_symbol_broadcast(stored)[1].equals(build_symbol_broadcast(scanned)[1])
